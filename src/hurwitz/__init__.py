@@ -26,7 +26,6 @@ from .perms import (
     StabilizerChain,
     conjugate,
     format_cycles,
-    group_order,
     parse_cycles,
 )
 from .structure import (

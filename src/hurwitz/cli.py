@@ -4,9 +4,11 @@ Subcommands: validate, fiber, orbits, monodromy, classify, condition-e,
 conway-parker, goursat, mass.  All output is JSON (stdout or --out);
 big integers are decimal strings, reports embed the sha256 digest of every
 input file and the enumeration budget actually consumed, and equal
-configurations produce byte-identical reports (thread count included).
+configurations produce byte-identical reports.  --threads is accepted
+for compatibility and has no effect.
 
-Exit codes: 0 success, 2 invalid input, 3 budget exhaustion.
+Exit codes: 0 success, 2 invalid input, 3 budget exhaustion, 4 a failed
+internal consistency check (a bug; the report carries "internal": true).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .covers import (
     condition_e_by_kinds,
     reduce_cover,
 )
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, InternalCheckError
 from .fiberpower import row_span_check
 from .io import load_cover_file, load_group_file, parse_inputs, resolve_reference, sha256_of
 from .monodromy import (
@@ -39,6 +41,7 @@ from .perms import format_cycles
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _round_floats(obj):
@@ -62,7 +65,7 @@ def emit(report, out_path=None):
 
 def _base_report(args, paths):
     # thread count never appears in a report: equal configurations must give
-    # byte-identical output regardless of the worker pool size
+    # byte-identical output whatever --threads says
     return {
         "tool": {"name": "hurwitz", "version": __version__},
         "subcommand": args.subcommand,
@@ -144,9 +147,7 @@ def _orbit_payload(h, fiber, ext, args):
     if ext is not None:
         reduced = reduce_cover(ext, h.classes)
         lift = LiftData(reduced, h)
-    words, arrays = fiber_generator_arrays(fiber, threads=args.threads)
-    from .errors import InternalCheckError
-
+    words, arrays = fiber_generator_arrays(fiber)
     labels_note = None
     try:
         orbits = braid_orbits(fiber, arrays, lift_data=lift)
@@ -194,7 +195,7 @@ def cmd_monodromy(args):
         lift = None
         if ext is not None and mode == "inn":
             lift = LiftData(reduce_cover(ext, h.classes), h)
-        words, arrays = fiber_generator_arrays(fiber, threads=args.threads)
+        words, arrays = fiber_generator_arrays(fiber)
         mass = mass_report(
             h,
             fiber_inn_size=len(fiber) if mode == "inn" else None,
@@ -264,7 +265,7 @@ def cmd_conway_parker(args):
     h, tuples = _enumerate(pinput, args, report)
     fiber = build_fiber(h, "inn", tuples=tuples)
     lift = LiftData(reduce_cover(ext, h.classes), h)
-    words, arrays = fiber_generator_arrays(fiber, threads=args.threads)
+    words, arrays = fiber_generator_arrays(fiber)
     orbits = braid_orbits(fiber, arrays, lift_data=lift)
     rec = conway_parker_report(orbits)
     report["result"] = {
@@ -360,7 +361,7 @@ def build_parser():
         p.add_argument("--budget-tuples", type=int, default=DEFAULT_TUPLE_BUDGET,
                        help="enumeration budget in DFS prefix visits (default 1e8)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for per-generator construction")
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--out", default=None, help="write the JSON report to this file")
         if cover:
             p.add_argument("--cover", default=None, help="cover file (JSON)")
@@ -403,6 +404,12 @@ def main(argv=None):
     except InputError as e:
         emit({"subcommand": args.subcommand, "error": str(e)}, getattr(args, "out", None))
         return EXIT_INPUT
+    except InternalCheckError as e:
+        emit(
+            {"subcommand": args.subcommand, "error": str(e), "internal": True},
+            getattr(args, "out", None),
+        )
+        return EXIT_INTERNAL
     emit(report, args.out)
     return EXIT_OK
 

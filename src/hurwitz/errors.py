@@ -2,8 +2,8 @@
 
 Errors caused by user-supplied data raise InputError (CLI exit code 2),
 exhausted budgets raise BudgetError (exit code 3), and violations of
-internal invariants raise InternalCheckError, which always indicates a
-bug rather than bad input.
+internal invariants raise InternalCheckError (exit code 4), which always
+indicates a bug rather than bad input.
 """
 
 

@@ -31,8 +31,8 @@ from .nielsen import (
     induced_permutation_array,
     _dfs_enumerate,
     _class_code_arrays,
-    _pack_rows,
-    _packable,
+    key_positions,
+    row_keys,
 )
 from .perms import PermGroup, Permutation
 
@@ -144,18 +144,11 @@ class MonodromyReport:
         return out
 
 
-def fiber_generator_arrays(fiber, words=None, threads=1):
+def fiber_generator_arrays(fiber, words=None):
     """Index-permutation arrays of the braid generators on a fiber."""
     if words is None:
         words = braid_nu_generators(fiber.h.nu)
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            arrays = list(pool.map(lambda w: induced_permutation_array(fiber, w), words))
-    else:
-        arrays = [induced_permutation_array(fiber, w) for w in words]
-    return words, arrays
+    return words, [induced_permutation_array(fiber, w) for w in words]
 
 
 def _restriction_perms(arrays, points):
@@ -276,7 +269,7 @@ def _gcd(a, b):
     return a
 
 
-def monodromy_group(fiber, gen_arrays=None, words=None, lift_data=None, mass=None, threads=1):
+def monodromy_group(fiber, gen_arrays=None, words=None, lift_data=None, mass=None):
     """Full monodromy report: orbits, exact group order, fullness verdicts.
 
     Per-orbit fullness comes from the exact order of the restriction; a
@@ -286,7 +279,7 @@ def monodromy_group(fiber, gen_arrays=None, words=None, lift_data=None, mass=Non
     each orbit in turn and requires the alternating group each time.
     """
     if gen_arrays is None:
-        words, gen_arrays = fiber_generator_arrays(fiber, words, threads=threads)
+        words, gen_arrays = fiber_generator_arrays(fiber, words)
     names = tuple(w.name for w in words) if words else tuple(f"g{i}" for i in range(len(gen_arrays)))
     n = len(fiber)
     orbits = braid_orbits(fiber, gen_arrays, lift_data)
@@ -498,37 +491,29 @@ def cross_check_braid_orbits(h, budget=None):
         all_rows.append(rows)
     superset = np.concatenate(all_rows, axis=0)
     n = h.n
-    if not _packable(table.size, n):
-        raise InputError("cross-check requires packable tuple keys at this scale")
-    keys = _pack_rows(superset, table.size)
-    order = np.argsort(keys)
+    keys = row_keys(superset, table.size)
+    order = np.argsort(keys, kind="stable")
     superset = superset[order]
     keys = keys[order]
-    index_of = {int(k): i for i, k in enumerate(keys)}
     m = len(superset)
     # full braid group generators sigma_1..sigma_{n-1} acting on the superset
     arrays = []
     for i in range(1, n):
         moved = apply_word_codes(superset, (i,), table)
-        arr = np.array([index_of[int(k)] for k in _pack_rows(moved, table.size)])
-        arrays.append(arr)
+        arrays.append(key_positions(keys, row_keys(moved, table.size)))
     rows = np.concatenate([np.arange(m)] * len(arrays))
     cols = np.concatenate(arrays)
     graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(m, m))
     _, comp = connected_components(graph, directed=False)
     # restrict to the block-ordered subset and compare with the direct route
     tuples = enumerate_tuples(h, budget=budget)
-    direct_keys = _pack_rows(tuples.codes, table.size)
-    sub_idx = np.array([index_of[int(k)] for k in direct_keys])
-    restricted = comp[sub_idx]
+    direct_keys = row_keys(tuples.codes, table.size)
+    restricted = comp[key_positions(keys, direct_keys)]
     sigma_words = braid_nu_generators(h.nu)
     direct_arrays = []
-    dindex = {int(k): i for i, k in enumerate(direct_keys)}
     for w in sigma_words:
         moved = apply_word_codes(tuples.codes, w.letters, table)
-        direct_arrays.append(
-            np.array([dindex[int(k)] for k in _pack_rows(moved, table.size)])
-        )
+        direct_arrays.append(key_positions(direct_keys, row_keys(moved, table.size)))
     k = len(tuples.codes)
     rows2 = np.concatenate([np.arange(k)] * len(direct_arrays))
     cols2 = np.concatenate(direct_arrays)

@@ -444,8 +444,7 @@ def enumerate_tuples(h, budget=None, return_visits=False):
     codes = _dfs_enumerate(table, pos_class, class_codes, budget, counter)
     codes = _unsort_blocks(table, codes, h, order, script)
     if len(codes):
-        keys = _pack_rows(codes, table.size)
-        codes = codes[np.argsort(keys, kind="stable")]
+        codes = codes[np.argsort(row_keys(codes, table.size), kind="stable")]
     result = NielsenTupleSet(h, codes, counter["visits"])
     if return_visits:
         return result, counter["visits"]
@@ -456,79 +455,57 @@ def enumerate_tuples(h, budget=None, return_visits=False):
 # canonical forms and fibers
 
 
-def _pack_bits(m):
-    bits = 1
-    while (1 << bits) < m:
-        bits += 1
-    return bits
+def row_keys(rows, m):
+    """Exact sort keys of (N, n) code rows over a group of order m.
+
+    Each row becomes its codes as big-endian unsigned integers (two bytes
+    when m <= 65536, else four), viewed as one fixed-width np.void value.
+    Byte order of the keys is lexicographic row order at any width, so
+    stable argsort, != and searchsorted on them order rows exactly.
+    """
+    dtype = np.dtype(">u2" if m <= 65536 else ">u4")
+    rows = np.ascontiguousarray(rows, dtype=dtype)
+    return rows.view(np.dtype((np.void, rows.shape[1] * dtype.itemsize))).ravel()
 
 
-def _pack_rows(codes, m):
-    """Lexicographic uint64 keys for code rows (requires n * bits <= 63)."""
-    n = codes.shape[1]
-    bits = _pack_bits(m)
-    if bits * n > 63:
-        raise InternalCheckError("tuple too wide to pack; use the generic key path")
-    key = np.zeros(len(codes), dtype=np.uint64)
-    for j in range(n):
-        key = (key << np.uint64(bits)) | codes[:, j].astype(np.uint64)
-    return key
-
-
-def _packable(m, n):
-    return _pack_bits(m) * n <= 63
+def key_positions(sorted_keys, keys):
+    """Positions of row keys in a sorted key array; every key must be there."""
+    pos = np.searchsorted(sorted_keys, keys)
+    if (pos >= len(sorted_keys)).any() or (sorted_keys[pos] != keys).any():
+        raise InternalCheckError("row key missing from its sorted index: enumeration bug")
+    return pos
 
 
 def canonicalize_codes(codes, maps, m, chunk=1 << 16):
     """Lexicographic minimum of each row over the acting relabeling maps.
 
     `maps` is an (A, m) array of element relabelings (inner or full
-    automorphism maps).  Returns (canonical_rows, keys); exact, no hashing
-    collisions (keys are lexicographic packings or byte strings).
+    automorphism maps).  Returns (canonical_rows, row_keys(canonical_rows,
+    m)); exact, the keys being the rows' big-endian bytes.
     """
-    n = codes.shape[1]
-    total = len(codes)
-    if _packable(m, n):
-        out_rows = np.empty_like(codes)
-        out_keys = np.empty(total, dtype=np.uint64)
-        for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            block = codes[lo:hi]
-            best_rows = None
-            best_keys = None
-            for a in range(len(maps)):
-                mapped = maps[a][block].astype(np.int64)
-                keys = _pack_rows(mapped, m)
-                if best_keys is None:
-                    best_rows, best_keys = mapped, keys
-                else:
-                    better = keys < best_keys
-                    if better.any():
-                        best_keys = np.where(better, keys, best_keys)
-                        best_rows[better] = mapped[better]
-            out_rows[lo:hi] = best_rows
-            out_keys[lo:hi] = best_keys
-        return out_rows, out_keys
-    # generic fallback: python-level min over maps, byte keys
-    rows = []
-    keys = []
-    maps_list = [maps[a] for a in range(len(maps))]
-    for row in codes:
-        best = None
-        for amap in maps_list:
-            cand = tuple(int(amap[c]) for c in row)
-            if best is None or cand < best:
-                best = cand
-        rows.append(best)
-        keys.append(bytes(b for c in best for b in int(c).to_bytes(4, "big")))
-    return np.array(rows, dtype=np.int64), np.array(keys, dtype=object)
+    out_rows = np.empty(codes.shape, dtype=np.int64)
+    for lo in range(0, len(codes), chunk):
+        # columns as rows: each tuple position is one contiguous array
+        block = np.ascontiguousarray(codes[lo : lo + chunk].T)
+        best = maps[0][block]
+        for amap in maps[1:]:
+            mapped = amap[block]
+            less = np.zeros(block.shape[1], dtype=bool)
+            tied = np.ones(block.shape[1], dtype=bool)
+            for x, y in zip(mapped, best):
+                less |= tied & (x < y)
+                tied &= x == y
+            best[:, less] = mapped[:, less]
+        out_rows[lo : lo + chunk] = best.T
+    return out_rows, row_keys(out_rows, m)
 
 
 class Fiber:
     """Tuples of a parameter modulo Inn(G) (mode "inn") or Aut(G, C) ("aut").
 
     Points are the lexicographically least orbit representatives, sorted;
-    the index maps a canonical row back to its point id exactly.
+    `keys` holds their row_keys (big-endian row bytes), through which the
+    index maps a canonical row back to its point id exactly.
     """
 
     def __init__(self, h, mode, rows, keys, maps, tuple_count):
@@ -560,12 +537,7 @@ class Fiber:
         return NielsenTuple(self.table.perm(c) for c in rows[0])
 
     def index_of_keys(self, keys):
-        pos = np.searchsorted(self.keys, keys)
-        if (pos >= len(self.keys)).any() or (self.keys[pos] != keys).any():
-            raise InternalCheckError(
-                "canonicalized image missing from fiber index: enumeration bug"
-            )
-        return pos
+        return key_positions(self.keys, keys)
 
     def index_of_tuple(self, t):
         row = np.array([[self.table.code(g) for g in t]], dtype=np.int64)
@@ -592,16 +564,13 @@ def build_fiber(h, mode="aut", tuples=None, budget=None):
         tuples = enumerate_tuples(h, budget=budget)
     maps = acting_maps(h, mode)
     rows, keys = canonicalize_codes(tuples.codes, maps, h.group.table().size)
-    if keys.dtype == object:
-        order = np.argsort(keys)
-    else:
-        order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    rows = rows[order]
-    uniq = np.ones(len(keys), dtype=bool)
-    if len(keys):
-        uniq[1:] = keys[1:] != keys[:-1]
-    return Fiber(h, mode, rows[uniq], keys[uniq], maps, len(tuples))
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    # gather the kept rows once: a sorted copy of all rows would double the peak
+    keep = order[first]
+    return Fiber(h, mode, rows[keep], keys[keep], maps, len(tuples))
 
 
 def _apply_letter_codes(codes, letter, table):

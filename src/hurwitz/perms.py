@@ -846,11 +846,6 @@ class PermGroup:
         return f"PermGroup({label})"
 
 
-def group_order(group):
-    """Exact order of the group via its stabilizer chain."""
-    return group.order()
-
-
 class GroupTable:
     """Dense multiplication tables for a fully materialized group.
 

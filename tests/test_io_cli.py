@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import hurwitz as hw
+from hurwitz import cli
 from hurwitz.cli import main
 from hurwitz.io import (
     load_cover_file,
@@ -169,6 +170,29 @@ def test_cli_fiber_h25(tmp_path):
     assert r["fiber_inn"] == 25
     assert r["fiber_aut"] == 25
     assert report["budget"]["tuple_visits"] > 0
+
+
+def test_cli_fiber_wide_tuples(tmp_path):
+    # C2 with nu = (64): 64 tuple entries, wider than a 63-bit row packing
+    (tmp_path / "c2.json").write_text(
+        json.dumps({"name": "C2", "degree": 2, "generators": ["(1 2)"]})
+    )
+    param = tmp_path / "c2_64.json"
+    param.write_text(json.dumps({"group": "c2.json", "classes": ["(1 2)"], "nu": [64]}))
+    code, report = run_cli(["fiber", str(param)], tmp_path)
+    assert code == 0
+    r = report["result"]
+    assert r["tuple_count"] == r["fiber_inn"] == r["fiber_aut"] == 1
+
+
+def test_cli_internal_check_exit_4(tmp_path, monkeypatch):
+    def broken(args):
+        raise hw.InternalCheckError("self-check failed")
+
+    monkeypatch.setitem(cli.COMMANDS, "fiber", broken)
+    code, report = run_cli(["fiber", "h25"], tmp_path)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert report == {"subcommand": "fiber", "error": "self-check failed", "internal": True}
 
 
 def test_cli_monodromy_h25(tmp_path):

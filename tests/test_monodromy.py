@@ -298,6 +298,13 @@ def test_cross_check_s3_toy():
     assert cross_check_braid_orbits(h)
 
 
+def test_cross_check_wide_tuples():
+    # n = 64 transpositions in C2: row keys wider than 63 bits
+    C2 = PermGroup.symmetric(2)
+    h = hw.validate_parameter(C2, [class_by_type(C2, (2,))], [64])
+    assert cross_check_braid_orbits(h)
+
+
 def test_cross_check_a5_single_block(a5, a5_c3):
     # one block: the block-preserving subgroup is the whole braid group and
     # the cross-check compares the computation against itself

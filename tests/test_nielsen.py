@@ -13,7 +13,7 @@ from hurwitz import (
     apply_sigma,
     braid_nu_generators,
 )
-from hurwitz.nielsen import induced_permutation_array
+from hurwitz.nielsen import canonicalize_codes, induced_permutation_array, row_keys
 
 from conftest import class_by_type
 
@@ -246,7 +246,7 @@ def test_inn_action_free_on_tuples(h25_data):
     rows, keys = fiber.canonical_codes(tuples.codes)
     counts = {}
     for k in keys:
-        counts[int(k)] = counts.get(int(k), 0) + 1
+        counts[bytes(k)] = counts.get(bytes(k), 0) + 1
     assert set(counts.values()) == {120}
     assert len(counts) == 25
 
@@ -284,6 +284,26 @@ def test_canonicalization_exhaustive_small():
     for amap in fiber.maps:
         moved = NielsenTuple(table.perm(int(amap[table.code(g)])) for g in point)
         assert fiber.canonicalize_tuple(moved) == point
+
+
+def _canonical_rows_oracle(codes, maps):
+    # brute force: per row, the least mapped tuple over all maps
+    return [min(tuple(int(amap[c]) for c in row) for amap in maps) for row in codes]
+
+
+@pytest.mark.parametrize("width", [3, 8])
+def test_canonicalize_codes_matches_brute_force_s6(s6, width):
+    # width 8 over |S6| = 720 needs 80 key bits: beyond any 64-bit packing
+    table = s6.table()
+    maps = table.inner_maps()
+    codes = np.random.default_rng(width).integers(0, table.size, size=(60, width))
+    rows, keys = canonicalize_codes(codes, maps, table.size)
+    expected = _canonical_rows_oracle(codes, maps)
+    assert [tuple(int(c) for c in r) for r in rows] == expected
+    assert keys.tobytes() == row_keys(rows, table.size).tobytes()
+    for k in (keys, row_keys(rows, 1 << 17)):
+        by_key = rows[np.argsort(k, kind="stable")]
+        assert [tuple(int(c) for c in r) for r in by_key] == sorted(expected)
 
 
 def test_induced_permutation_identity_and_inverse(h25_data):
