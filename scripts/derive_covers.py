@@ -21,10 +21,15 @@ transitive (non-point-stabilizer) S5 < S6, is written as 2S5_alt.json and
 used to test that pairing computations do not depend on the cover chosen.
 
 Run from the repository root:  python3 scripts/derive_covers.py
+With --check, the fixtures are derived into a temporary directory instead
+and compared byte for byte with the bundled ones; the exit status is 1 when
+any file differs, is missing, or is extra.
 """
 
+import argparse
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -165,7 +170,7 @@ def write_cover(path, name, cover_gens, image_gens, base_name, degree, base_degr
     print(f"wrote {path}")
 
 
-def write_params():
+def write_params(root):
     params = {
         "h25.json": {
             "name": "h25",
@@ -223,14 +228,15 @@ def write_params():
         },
     }
     for fname, data in params.items():
-        path = DATA / "params" / fname
+        path = root / "params" / fname
         path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
 
 
-def main():
+def derive(root):
+    """Derive, verify and write every fixture under `root`."""
     for sub in ("groups", "covers", "params"):
-        (DATA / sub).mkdir(parents=True, exist_ok=True)
+        (root / sub).mkdir(parents=True, exist_ok=True)
 
     # ---- plain groups -----------------------------------------------------
     S5 = PermGroup.symmetric(5, name="S5")
@@ -238,10 +244,10 @@ def main():
     S4 = PermGroup.symmetric(4, name="S4")
     A5 = PermGroup.from_cycles(5, ["(1 2 3)", "(3 4 5)"], name="A5")
     assert S5.order() == 120 and S6.order() == 720 and A5.order() == 60
-    write_group(DATA / "groups" / "S5.json", "S5", S5)
-    write_group(DATA / "groups" / "S6.json", "S6", S6)
-    write_group(DATA / "groups" / "S4.json", "S4", S4)
-    write_group(DATA / "groups" / "A5.json", "A5", A5)
+    write_group(root / "groups" / "S5.json", "S5", S5)
+    write_group(root / "groups" / "S6.json", "S6", S6)
+    write_group(root / "groups" / "S4.json", "S4", S4)
+    write_group(root / "groups" / "A5.json", "A5", A5)
 
     # ---- SL2(F5) over A5 --------------------------------------------------
     f5 = Fp(5)
@@ -258,7 +264,7 @@ def main():
     assert iso is not None, "no isomorphism PSL2(5) -> A5 found"
     sl25_images = [iso[p] for p in psl_gens]
     write_cover(
-        DATA / "covers" / "SL25.json",
+        root / "covers" / "SL25.json",
         "SL2(5) over A5",
         sl2_gens,
         sl25_images,
@@ -297,7 +303,7 @@ def main():
     assert iso6 is not None, "no isomorphism PSigmaL2(9) -> S6 found"
     images6 = [iso6[p] for p in line_action]
     write_cover(
-        DATA / "covers" / "2S6.json",
+        root / "covers" / "2S6.json",
         "2.S6",
         cover6_gens,
         images6,
@@ -329,7 +335,7 @@ def main():
     C2S5 = PermGroup(80, cover5_gens, name="2.S5")
     assert C2S5.order() == 240, C2S5.order()
     write_cover(
-        DATA / "covers" / "2S5.json",
+        root / "covers" / "2S5.json",
         "2.S5",
         cover5_gens,
         images5,
@@ -358,7 +364,7 @@ def main():
     C2S5b = PermGroup(80, cover5b_gens, name="2.S5 alt")
     assert C2S5b.order() == 240, C2S5b.order()
     write_cover(
-        DATA / "covers" / "2S5_alt.json",
+        root / "covers" / "2S5_alt.json",
         "2.S5 (alternative realization)",
         cover5b_gens,
         images5b,
@@ -381,13 +387,13 @@ def main():
     PGL27 = PermGroup(8, pgl_gens, name="PGL2(7)")
     assert PGL27.order() == 336, PGL27.order()
     write_group(
-        DATA / "groups" / "PGL27.json",
+        root / "groups" / "PGL27.json",
         "PGL27",
         PGL27,
         comment="PGL2(F7) on the 8 points of the projective line",
     )
     write_cover(
-        DATA / "covers" / "2PGL27.json",
+        root / "covers" / "2PGL27.json",
         "2.PGL2(7)",
         cover7_gens,
         pgl_gens,
@@ -400,9 +406,43 @@ def main():
     assert ext7.kernel_order() == 2
 
     # ---- parameter files ---------------------------------------------------
-    write_params()
+    write_params(root)
     print("all fixtures derived and verified")
 
 
+def diff_trees(expected, actual):
+    """Relative paths of the files that differ between two directory trees."""
+
+    def files(root):
+        return {p.relative_to(root): p for p in root.rglob("*") if p.is_file()}
+
+    want, got = files(expected), files(actual)
+    return sorted(
+        str(rel)
+        for rel in want.keys() | got.keys()
+        if rel not in want or rel not in got or want[rel].read_bytes() != got[rel].read_bytes()
+    )
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="derive into a temporary directory and compare with the bundled fixtures",
+    )
+    args = parser.parse_args(argv)
+    if not args.check:
+        derive(DATA)
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        derive(Path(tmp))
+        differ = diff_trees(DATA, Path(tmp))
+    for rel in differ:
+        print(f"differs from the bundled fixture: {rel}")
+    print("fixtures match" if not differ else f"{len(differ)} fixture file(s) differ")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -9,16 +9,22 @@ the product of the alternating groups of all its orbits.  Alt(X) is
 trivial for |X| <= 2, so orbits of size one or two are vacuously full;
 asymptotic statements never meet them but small multiplicities do.
 
-Fullness is decided by exact order comparison (stabilizer chains on these
-degrees are cheap and exact), cross-validated on small orbits by a
-Jordan-style witness: a primitive group containing a cycle of prime length
-p <= |X| - 3 contains the alternating group.
+Fullness is proved first by Jordan's theorem: a primitive group containing
+a cycle of prime length p <= |X| - 3 contains Alt(X), and the generators'
+parities then decide between Alt(X) and Sym(X).  Quasi-fullness of orbits
+whose sizes (those >= 3) are pairwise different and all >= 5 follows from
+the fullness of each orbit alone, and a quasi-full action's order is the
+product of the alternating orders times 2^r, r the GF(2) rank of the
+generators' per-orbit sign vectors.  Orbits the witness does not decide
+(imprimitive, of size 3 or 4, or without a witness within the word
+budget), and quasi-fullness outside the distinct-degree case, fall back to
+deterministic Schreier-Sims stabilizer chains, which stay exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isqrt, lcm, prod
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -105,6 +111,7 @@ class OrbitVerdict:
     group_order: int
     full: bool
     blocks: tuple | None = None  # an imprimitivity system, when one exists
+    route: str = "chain"  # "jordan" (witness and parity) or "chain"; not serialized
 
 
 @dataclass
@@ -211,25 +218,51 @@ def full_by_order(size, order):
     return order in (factorial(size), factorial(size) // 2)
 
 
-def fullness_by_jordan_witness(perms, size, word_budget=4000):
-    """Independent fullness route: primitivity plus a prime-cycle witness.
+def _primes_upto(n):
+    """The primes p <= n, by a sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if sieve[p]]
+
+
+def _is_transitive(perms, size):
+    """Whether the generators reach every point from point 0."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for g in perms:
+            y = g.images[x]
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == size
+
+
+def fullness_by_jordan_witness(perms, size, word_budget=4000, primitive=None):
+    """Fullness by transitivity, primitivity and a prime-cycle witness.
 
     Searches deterministic products of the generators for an element some
     power of which is a single p-cycle, p prime <= size - 3; inside a
-    primitive group such an element forces the alternating group.  Returns
-    True/False when conclusive, None when no witness was found.
+    primitive group such an element forces the alternating group (Jordan).
+    Returns True/False when conclusive, None when no witness was found.
+    `primitive` is `_block_system(perms, size) is None` when the caller has
+    already computed it; otherwise it is computed here.
     """
     if size <= 2:
         return True
-    if _block_system(perms, size) is not None:
+    if not _is_transitive(perms, size):
         return False
-    orbit_pts = set()
-    for g in perms:
-        orbit_pts.update(g.moved_points())
-    if len(orbit_pts) < size:
-        return False  # not transitive, certainly not full
-    primes = [p for p in range(2, max(2, size - 2)) if all(p % d for d in range(2, p))]
-    prime_set = set(primes)
+    if primitive is None:
+        primitive = _block_system(perms, size) is None
+    if not primitive:
+        return False
+    primes = set(_primes_upto(size - 3))
     frontier = [Permutation.identity(size)]
     seen = {frontier[0].images}
     count = 0
@@ -243,16 +276,12 @@ def fullness_by_jordan_witness(perms, size, word_budget=4000):
                 seen.add(y.images)
                 count += 1
                 ct = [c for c in y.cycle_type() if c > 1]
-                for p in prime_set:
-                    if ct.count(p) == 1 and all(c == p or p % c and c % p for c in ct):
-                        # some power of y is a single p-cycle
-                        power = 1
-                        for c in ct:
-                            if c != p:
-                                power = power * c // _gcd(power, c)
-                        z = y**power
-                        zt = [c for c in z.cycle_type() if c > 1]
-                        if zt == [p] and p <= size - 3:
+                for p in primes.intersection(ct):
+                    if ct.count(p) == 1 and all(c == p or c % p for c in ct):
+                        # the lcm of the other cycle lengths is prime to p,
+                        # so that power of y is a single p-cycle
+                        power = lcm(*(c for c in ct if c != p))
+                        if [c for c in (y**power).cycle_type() if c > 1] == [p]:
                             return True
                 new.append(y)
                 if count >= word_budget:
@@ -263,45 +292,76 @@ def fullness_by_jordan_witness(perms, size, word_budget=4000):
     return None
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _is_odd(perm):
+    return sum(c - 1 for c in perm.cycle_type()) % 2
+
+
+def _gf2_rank(vectors):
+    """Rank over GF(2) of bit vectors given as ints."""
+    pivots = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
 
 
 def monodromy_group(fiber, gen_arrays=None, words=None, lift_data=None, mass=None):
     """Full monodromy report: orbits, exact group order, fullness verdicts.
 
-    Per-orbit fullness comes from the exact order of the restriction; a
-    non-full orbit additionally gets an imprimitivity system when one
-    exists.  Quasi-fullness of a multi-orbit action restricts the pointwise
-    stabilizer of the other orbits (base ordered through them first) to
-    each orbit in turn and requires the alternating group each time.
+    Each orbit is first tried by the Jordan witness on its restriction; a
+    conclusive witness gives |X|! when some restricted generator is odd and
+    |X|!/2 otherwise.  Any other orbit gets the exact order of its
+    restriction from a stabilizer chain, and a non-full orbit additionally
+    gets an imprimitivity system when one exists.  The group order of a
+    quasi-full action is the product of the alternating orders times 2^r,
+    r the GF(2) rank of the generators' per-orbit sign vectors (the group
+    contains the product of the alternating groups, and the quotient by it
+    is the span of those vectors); a single orbit reuses its own order, and
+    any other action takes the order of a chain on the whole fiber.
     """
     if gen_arrays is None:
         words, gen_arrays = fiber_generator_arrays(fiber, words)
     names = tuple(w.name for w in words) if words else tuple(f"g{i}" for i in range(len(gen_arrays)))
     n = len(fiber)
     orbits = braid_orbits(fiber, gen_arrays, lift_data)
-    perms = [Permutation(int(x) for x in arr) for arr in gen_arrays]
-    group = PermGroup(n, perms, name="monodromy")
-    order = group.order() if n else 1
+    group = PermGroup(n, [Permutation(int(x) for x in arr) for arr in gen_arrays], name="monodromy")
     per_orbit = []
-    for members in orbits.orbit_members:
-        if len(members) == n:
-            sub_order = order
-            sub_perms = perms
+    sign_vectors = [0] * len(gen_arrays)
+    for i, members in enumerate(orbits.orbit_members):
+        size = len(members)
+        sub_perms = _restriction_perms(gen_arrays, members)
+        odd = [_is_odd(g) for g in sub_perms]
+        for j, bit in enumerate(odd):
+            sign_vectors[j] |= bit << i
+        blocks = _block_system(sub_perms, size)
+        if fullness_by_jordan_witness(sub_perms, size, primitive=blocks is None):
+            route = "jordan"
+            sub_order = factorial(size) if any(odd) else max(1, factorial(size) // 2)
         else:
-            sub_perms = _restriction_perms(gen_arrays, members)
-            sub_order = PermGroup(len(members), sub_perms).order()
-        is_full = full_by_order(len(members), sub_order)
-        blocks = None
-        if not is_full:
-            blocks = _block_system(sub_perms, len(members))
+            route = "chain"
+            sub_order = PermGroup(size, sub_perms).order()
+        is_full = full_by_order(size, sub_order)
         per_orbit.append(
-            OrbitVerdict(size=len(members), group_order=sub_order, full=is_full, blocks=blocks)
+            OrbitVerdict(
+                size=size,
+                group_order=sub_order,
+                full=is_full,
+                blocks=blocks,  # None on full orbits: Alt(X) is primitive
+                route=route,
+            )
         )
     quasi = quasi_fullness(group, orbits, per_orbit)
+    if orbits.count == 1:
+        order = per_orbit[0].group_order
+    elif quasi:
+        alternating = prod(max(1, factorial(v.size) // 2) for v in per_orbit)
+        order = alternating * 2 ** _gf2_rank(sign_vectors)
+    else:
+        order = group.order()
     census = None
     if orbits.labels is not None:
         census = {
@@ -331,27 +391,42 @@ def fullness(report):
 def quasi_fullness(group, orbits, per_orbit):
     """Whether the action contains the product of its orbit alternating groups.
 
-    Requires every orbit individually full; for several orbits, the
-    pointwise stabilizer of all other orbits must still restrict onto
-    (at least) the alternating group of each orbit.
+    Requires every orbit individually full.  When the orbits of size >= 3
+    all have size >= 5 and pairwise different sizes, that suffices: the
+    perfect core of the group maps onto each A_n and trivially on orbits
+    of size <= 2, and a subdirect product of pairwise non-isomorphic
+    nonabelian simple groups is their direct product (Goursat).  Otherwise
+    the chain route of `_quasi_fullness_by_chain` decides.
     """
     if not all(v.full for v in per_orbit):
         return False
     members = orbits.orbit_members
     if len(members) <= 1:
         return True
+    degrees = [v.size for v in per_orbit if v.size >= 3]
+    if min(degrees, default=5) >= 5 and len(set(degrees)) == len(degrees):
+        return True
+    return _quasi_fullness_by_chain(group, members)
+
+
+def _quasi_fullness_by_chain(group, members):
+    """Quasi-fullness of an action whose orbits are each full, by chains.
+
+    The pointwise stabilizer of all other orbits (base ordered through them
+    first) must restrict onto at least the alternating group of each orbit
+    of size >= 3; Alt(X) is trivial on smaller orbits, which need nothing.
+    """
     for i, orbit in enumerate(members):
-        others = [p for j, m in enumerate(members) if j != i for p in m]
+        m = len(orbit)
+        if m <= 2:
+            continue
+        others = [p for j, o in enumerate(members) if j != i for p in o]
         chain = group.chain(base_prefix=tuple(others), strategy="natural")
         stab_gens = chain.strong_generators(from_level=len(others))
-        if not stab_gens:
-            return False
         restricted = _restriction_perms(
             [np.array(g, dtype=np.int64) for g in stab_gens], orbit
         )
-        sub_order = PermGroup(len(orbit), restricted).order()
-        m = len(orbit)
-        if m > 2 and sub_order < factorial(m) // 2:
+        if PermGroup(m, restricted).order() < factorial(m) // 2:
             return False
     return True
 

@@ -8,8 +8,12 @@ import pytest
 
 import hurwitz as hw
 from hurwitz import PermGroup, Permutation
+from hurwitz import perms as perms_module
 from hurwitz.monodromy import (
+    OrbitVerdict,
     _block_system,
+    _quasi_fullness_by_chain,
+    _restriction_perms,
     braid_orbits,
     conway_parker_report,
     cross_check_braid_orbits,
@@ -64,6 +68,7 @@ def test_h25_full(h25_data):
     assert rep.group_order in (factorial(25), factorial(25) // 2)
     assert all(v.full for v in rep.per_orbit)
     assert rep.quasi_full
+    assert [v.route for v in rep.per_orbit] == ["jordan"]
 
 
 def test_contrasting_pair_exact_orders(contrasting_pair):
@@ -71,6 +76,8 @@ def test_contrasting_pair_exact_orders(contrasting_pair):
     assert r221.fiber_size == 125
     assert r221.group_order == factorial(125)
     assert r221.quasi_full
+    # S125 by witness; 125! is also the order the chain computes (about 60 s)
+    assert [v.route for v in r221.per_orbit] == ["jordan"]
     r212 = contrasting_pair["212"]["report"]
     assert r212.fiber_size == 170
     assert r212.group_order == 2 * factorial(85) ** 2
@@ -79,6 +86,7 @@ def test_contrasting_pair_exact_orders(contrasting_pair):
     assert blocks is not None
     assert len(blocks) == 2 and all(len(b) == 85 for b in blocks)
     assert not r212.quasi_full
+    assert [v.route for v in r212.per_orbit] == ["chain"]  # imprimitive
 
 
 def test_order_divisible_by_orbit_sizes(h25_data, a5_n5):
@@ -136,6 +144,20 @@ def test_jordan_witness_agrees_with_order_route(h25_data):
     assert fullness_by_jordan_witness(gens, 6) is not True
 
 
+def test_jordan_witness_rejects_intransitive_input():
+    # S5 x S7 on 5 + 7 points: every point moves, the group is not transitive
+    gens = [
+        Permutation.from_cycles("(1 2)", 12),
+        Permutation.from_cycles("(1 2 3 4 5)", 12),
+        Permutation.from_cycles("(6 7)", 12),
+        Permutation.from_cycles("(6 7 8 9 10 11 12)", 12),
+    ]
+    assert len({p for g in gens for p in g.moved_points()}) == 12
+    assert fullness_by_jordan_witness(gens, 12) is False
+    # even when told the action is primitive, transitivity is checked itself
+    assert fullness_by_jordan_witness(gens, 12, primitive=True) is False
+
+
 # ---------------------------------------------------------------------------
 # quasi-fullness
 
@@ -152,7 +174,32 @@ def _product_action(gens, degree):
     return out
 
 
-def test_quasi_fullness_synthetic():
+class _FakeFiber:
+    """The parts of a Fiber that monodromy_group reads, for bare generators."""
+
+    mode = "inn"
+
+    def __init__(self, n):
+        self.rows = np.zeros((n, 1), dtype=np.int64)
+
+    def __len__(self):
+        return len(self.rows)
+
+
+def _count_chains(monkeypatch):
+    """Count StabilizerChain builds from here on; returns the counter list."""
+    built = []
+    real = perms_module.StabilizerChain
+
+    def counting(*args, **kwargs):
+        built.append(args[1])  # the degree
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(perms_module, "StabilizerChain", counting)
+    return built
+
+
+def test_quasi_fullness_synthetic(monkeypatch):
     A5 = PermGroup.from_cycles(5, ["(1 2 3)", "(3 4 5)"])
     diag_gens = _diagonal_action(A5.generators, 5)
     prod_gens = _product_action(A5.generators, 5)
@@ -160,32 +207,200 @@ def test_quasi_fullness_synthetic():
     def run(gens):
         G = PermGroup(10, gens)
         arrays = [np.array(g.images) for g in gens]
-
-        class FakeFiber:
-            rows = np.zeros((10, 1), dtype=np.int64)
-
-            def __len__(self):
-                return 10
-
-        orbits = braid_orbits(FakeFiber(), arrays)
+        orbits = braid_orbits(_FakeFiber(10), arrays)
         per_orbit = []
-        from hurwitz.monodromy import OrbitVerdict, _restriction_perms
-
         for members in orbits.orbit_members:
             perms = _restriction_perms(arrays, members)
             order = PermGroup(len(members), perms).order()
             per_orbit.append(
                 OrbitVerdict(len(members), order, full_by_order(len(members), order))
             )
-        return quasi_fullness(G, orbits, per_orbit), per_orbit
+        built = _count_chains(monkeypatch)
+        quasi = quasi_fullness(G, orbits, per_orbit)
+        monkeypatch.undo()
+        return quasi, per_orbit, built
 
-    quasi_diag, po_diag = run(diag_gens)
+    # equal degrees: no shortcut, the chain decides
+    quasi_diag, po_diag, built = run(diag_gens)
     assert all(v.full for v in po_diag)  # each orbit restriction is Alt(5)
     assert not quasi_diag  # but the diagonal is far from Alt x Alt
+    assert built
 
-    quasi_prod, po_prod = run(prod_gens)
+    quasi_prod, po_prod, built = run(prod_gens)
     assert all(v.full for v in po_prod)
     assert quasi_prod
+    assert built
+
+
+def test_quasi_fullness_ignores_orbits_of_size_at_most_two():
+    # Alt(X) is trivial on them; neither route may ask them for a stabilizer
+    A5 = PermGroup.from_cycles(5, ["(1 2 3)", "(3 4 5)"])
+    product_and_fixed_point = [
+        Permutation(list(g.images) + [10]) for g in _product_action(A5.generators, 5)
+    ]
+    s5_with_sign = [
+        Permutation.from_cycles("(1 2 3 4 5)", 7),
+        Permutation.from_cycles("(1 2)(6 7)", 7),  # 6 and 7 swap only with odd elements
+    ]
+    for gens, sizes, order in (
+        (product_and_fixed_point, [5, 5, 1], 60 * 60),
+        (s5_with_sign, [5, 2], 120),
+    ):
+        arrays = [np.array(g.images) for g in gens]
+        rep = _assert_routes_agree(arrays)
+        assert sorted(v.size for v in rep.per_orbit) == sorted(sizes)
+        assert rep.quasi_full
+        assert rep.group_order == order
+
+
+def _chain_oracle(arrays):
+    """Orders and verdicts by stabilizer chains alone: the fallback route."""
+    n = len(arrays[0])
+    orbits = braid_orbits(_FakeFiber(n), arrays)
+    group = PermGroup(n, [Permutation(int(x) for x in a) for a in arrays])
+    per_orbit = []
+    for members in orbits.orbit_members:
+        perms = _restriction_perms(arrays, members)
+        order = PermGroup(len(members), perms).order()
+        full = full_by_order(len(members), order)
+        blocks = None if full else _block_system(perms, len(members))
+        per_orbit.append((len(members), order, full, blocks))
+    quasi = all(v[2] for v in per_orbit) and (
+        len(per_orbit) <= 1 or _quasi_fullness_by_chain(group, orbits.orbit_members)
+    )
+    return group.order(), per_orbit, quasi
+
+
+def _assert_routes_agree(arrays, report=None):
+    """monodromy_group (witness first) against the chain oracle; the report."""
+    if report is None:
+        report = monodromy_group(_FakeFiber(len(arrays[0])), gen_arrays=list(arrays))
+    order, per_orbit, quasi = _chain_oracle(arrays)
+    got = [(v.size, v.group_order, v.full, v.blocks) for v in report.per_orbit]
+    assert got == per_orbit
+    assert report.group_order == order
+    assert report.quasi_full == quasi
+    return report
+
+
+def test_routes_agree_on_fixtures(h25_data, a5, a5_n4):
+    for fiber in (h25_data["fiber_inn"], h25_data["fiber_aut"]):
+        rep = _assert_routes_agree(fiber_generator_arrays(fiber)[1])
+        assert [v.route for v in rep.per_orbit] == ["jordan"]
+    _assert_routes_agree(a5_n4["arrays"])  # 18 points, imprimitive
+    five = [c for c in a5.conjugacy_classes() if c.cycle_type() == (5,)]
+    routes = set()
+    # the two A5 classes of 5-cycles: orbits 30 + 40, 2 + 5, 10 and 4
+    for classes, nu in ((five, [2, 3]), (five, [2, 2]), (five[:1], [4]), (five, [1, 3])):
+        fiber = hw.build_fiber(hw.validate_parameter(a5, classes, nu), "inn")
+        rep = _assert_routes_agree(fiber_generator_arrays(fiber)[1])
+        routes.update(v.route for v in rep.per_orbit)
+    assert routes == {"jordan", "chain"}
+
+
+def _random_arrays(rng):
+    """Generators on 5-12 points: random, identity, copied (diagonal) or
+    sparse actions on the parts of a random partition, points shuffled.
+    Half the partitions of 10-12 points are two parts of size >= 5."""
+    n = rng.randint(5, 12)
+    if n >= 10 and rng.random() < 0.5:
+        first = rng.randint(5, n - 5)
+        sizes = [first, n - first]
+    else:
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, 2)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    points = list(range(n))
+    rng.shuffle(points)
+    parts, start = [], 0
+    for size in sizes:
+        parts.append(points[start : start + size])
+        start += size
+    arrays = []
+    for _ in range(rng.randint(2, 3)):
+        images = list(range(n))
+        actions = []
+        for part in parts:
+            twins = [a for q, a in actions if len(q) == len(part)]
+            kind = rng.random()
+            if kind < 0.2 and twins:
+                local = rng.choice(twins)
+            elif kind < 0.3:
+                local = list(range(len(part)))
+            elif kind < 0.4 and len(part) >= 2:
+                local = list(range(len(part)))
+                i, j = rng.sample(range(len(part)), 2)
+                local[i], local[j] = local[j], local[i]
+            else:
+                local = rng.sample(range(len(part)), len(part))
+            actions.append((part, local))
+            for x, y in enumerate(local):
+                images[part[x]] = part[y]
+        arrays.append(np.array(images, dtype=np.int64))
+    return arrays
+
+
+def test_routes_agree_on_random_generator_sets():
+    rng = random.Random(20141)
+    routes = set()
+    shortcut = equal_degrees = 0
+    for _ in range(300):
+        arrays = _random_arrays(rng)
+        rep = _assert_routes_agree(arrays)
+        routes.update(v.route for v in rep.per_orbit)
+        degrees = [v.size for v in rep.per_orbit if v.size >= 3]
+        if rep.quasi_full and len(degrees) >= 2:
+            if min(degrees) >= 5 and len(set(degrees)) == len(degrees):
+                shortcut += 1
+            else:
+                equal_degrees += 1
+    # every route was taken
+    assert routes == {"jordan", "chain"}
+    assert shortcut and equal_degrees
+
+
+def test_distinct_degree_product_quasi_full_without_chain(monkeypatch):
+    # A5 on 5 points x A7 on 7 points, plus odd generators
+    even = [
+        Permutation.from_cycles("(1 2 3)", 12),
+        Permutation.from_cycles("(3 4 5)", 12),
+        Permutation.from_cycles("(6 7 8)", 12),
+        Permutation.from_cycles("(8 9 10 11 12)", 12),
+    ]
+    both_odd = Permutation.from_cycles("(1 2)(6 7)", 12)
+    first_odd = Permutation.from_cycles("(4 5)", 12)
+    alt = factorial(5) // 2 * factorial(7) // 2
+    for gens, rank in ((even + [both_odd], 1), (even + [both_odd, first_odd], 2)):
+        arrays = [np.array(g.images) for g in gens]
+        built = _count_chains(monkeypatch)
+        rep = monodromy_group(_FakeFiber(12), gen_arrays=arrays)
+        monkeypatch.undo()
+        assert not built
+        assert [(v.size, v.route, v.full) for v in rep.per_orbit] == [
+            (5, "jordan", True),
+            (7, "jordan", True),
+        ]
+        assert rep.quasi_full
+        assert rep.group_order == alt * 2**rank
+        _assert_routes_agree(arrays, rep)
+
+
+def test_four_point_orbit_takes_chain_route(monkeypatch):
+    # S4 on 4 points x S5 on 5 points
+    gens = [
+        Permutation.from_cycles("(1 2)", 9),
+        Permutation.from_cycles("(1 2 3 4)", 9),
+        Permutation.from_cycles("(5 6)", 9),
+        Permutation.from_cycles("(5 6 7 8 9)", 9),
+    ]
+    arrays = [np.array(g.images) for g in gens]
+    built = _count_chains(monkeypatch)
+    rep = monodromy_group(_FakeFiber(9), gen_arrays=arrays)
+    monkeypatch.undo()
+    assert [(v.size, v.route) for v in rep.per_orbit] == [(4, "chain"), (5, "jordan")]
+    assert rep.quasi_full
+    assert 9 in built  # quasi-fullness went through a chain on all 9 points
+    assert rep.group_order == factorial(4) * factorial(5)
+    _assert_routes_agree(arrays, rep)
 
 
 def test_single_full_orbit_quasi_full(h25_data):
