@@ -26,6 +26,7 @@ from .perms import (
     StabilizerChain,
     conjugate,
     format_cycles,
+    orbit_partition,
     parse_cycles,
 )
 from .structure import (

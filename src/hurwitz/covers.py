@@ -33,24 +33,19 @@ from .errors import (
     InternalCheckError,
     UnsupportedConfigurationError,
 )
-from .perms import PermGroup, Permutation
-from .structure import derived_orbit_count, is_ambiguous, is_pseudosimple
+from .perms import (
+    PermGroup,
+    Permutation,
+    conjugation_maps,
+    orbit_partition,
+    subgroup_codes,
+)
+from .structure import _hom_closure, is_ambiguous, is_pseudosimple
 
 
-def _closure_codes(mul, identity, gens):
-    seen = {int(identity)}
-    frontier = [int(identity)]
-    gens = [int(g) for g in gens]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = int(mul[x, g])
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return seen
+def _commutator(mul, inv, a, b):
+    """Code of a^-1 b^-1 a b in a dense multiplication table."""
+    return int(mul[mul[inv[a], inv[b]], mul[a, b]])
 
 
 def _derived_gen_codes(mul, inv, identity, group_gens):
@@ -59,11 +54,11 @@ def _derived_gen_codes(mul, inv, identity, group_gens):
     comms = set()
     for a in group_gens:
         for b in group_gens:
-            c = int(mul[mul[inv[a], inv[b]], mul[a, b]])
+            c = _commutator(mul, inv, a, b)
             if c != identity:
                 comms.add(c)
     gens = sorted(comms)
-    subgroup = _closure_codes(mul, identity, gens)
+    subgroup = set(subgroup_codes(mul, identity, gens))
     frontier = list(gens)
     while frontier:
         new = []
@@ -72,7 +67,7 @@ def _derived_gen_codes(mul, inv, identity, group_gens):
                 y = int(mul[mul[inv[g], x], g])
                 if y not in subgroup:
                     gens.append(y)
-                    subgroup = _closure_codes(mul, identity, gens)
+                    subgroup = set(subgroup_codes(mul, identity, gens))
                     new.append(y)
         frontier = new
     return gens, subgroup
@@ -80,27 +75,11 @@ def _derived_gen_codes(mul, inv, identity, group_gens):
 
 def _conj_partition(mul, inv, codes, acting_gens):
     """Orbits of conjugation by the given generators on a code subset."""
-    remaining = set(int(c) for c in codes)
-    acting = [int(g) for g in acting_gens]
-    orbits = []
-    while remaining:
-        start = min(remaining)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in acting:
-                    y = int(mul[mul[inv[g], x], g])
-                    if y not in orbit:
-                        orbit.add(y)
-                        new.append(y)
-            frontier = new
-        if not orbit <= remaining:
-            raise InternalCheckError("conjugation left the given code subset")
-        remaining -= orbit
-        orbits.append(sorted(orbit))
-    return orbits
+    codes = np.unique(np.asarray(codes, dtype=np.int64))
+    orbits = orbit_partition(conjugation_maps(mul, inv, acting_gens), codes)
+    if sum(len(orbit) for orbit in orbits) != len(codes):
+        raise InternalCheckError("conjugation left the given code subset")
+    return [orbit.tolist() for orbit in orbits]
 
 
 @dataclass(frozen=True)
@@ -124,20 +103,21 @@ class KernelSubgroup:
 class CentralExtension:
     """A verified central extension pi: cover -> base with central kernel.
 
-    `mul`, `inv`, `order_of` are dense tables over cover element codes;
-    `proj` sends cover codes to base codes; `element(code)` materializes a
-    cover element as a Permutation.  Verification failures raise InputError
+    `mul` and `inv` are dense tables over cover element codes; `proj` sends
+    cover codes to base codes; `gen_codes` are the codes of the cover
+    group's generators, in order; `element(code)` materializes a cover
+    element as a Permutation.  Verification failures raise InputError
     naming the broken invariant.
     """
 
-    def __init__(self, cover_group, base_group, mul, inv, identity, order_of, proj, element_fn, name=None):
+    def __init__(self, cover_group, base_group, mul, inv, identity, proj, gen_codes, element_fn, name=None):
         self.cover_group = cover_group
         self.base_group = base_group
         self.mul = mul
         self.inv = inv
         self.identity = identity
-        self.order_of = order_of
         self.proj = proj
+        self.gen_codes = [int(c) for c in gen_codes]
         self.size = len(proj)
         self._element_fn = element_fn
         self.name = name
@@ -169,34 +149,20 @@ class CentralExtension:
                 pairs.append((ct.code(cg), bt.code(ig)))
             elif not ig.is_identity():
                 raise InputError("projection is not a homomorphism")
-        proj = np.full(ct.size, -1, dtype=np.int64)
-        proj[ct.identity] = bt.identity
-        frontier = [ct.identity]
-        while frontier:
-            new = []
-            for x in frontier:
-                fx = int(proj[x])
-                for g, fg in pairs:
-                    y = int(ct.mul[x, g])
-                    fy = int(bt.mul[fx, fg])
-                    if proj[y] == -1:
-                        proj[y] = fy
-                        new.append(y)
-                    elif proj[y] != fy:
-                        raise InputError("projection is not a homomorphism")
-            frontier = new
+        proj = _hom_closure(ct, bt, [g for g, _ in pairs], [f for _, f in pairs])
+        if proj is None:
+            raise InputError("projection is not a homomorphism")
         ext = cls(
             cover,
             base_group,
             ct.mul,
             ct.inv,
             ct.identity,
-            ct.order_of,
             proj,
+            [ct.code(g) for g in cover.generators],
             ct.perm,
             name=name,
         )
-        ext._gen_code_cache = {g.images: ct.code(g) for g in cover.generators}
         ext.verify()
         return ext
 
@@ -204,37 +170,18 @@ class CentralExtension:
         if len(set(int(p) for p in self.proj)) != self.base_group.order():
             raise InputError("projection not surjective")
         kernel = set(self.kernel_codes)
-        gens = self._gen_codes()
         for z in kernel:
-            for g in gens:
+            for g in self.gen_codes:
                 if int(self.mul[z, g]) != int(self.mul[g, z]):
                     raise InputError("kernel not central")
         _, derived = self._derived_data()
         if not kernel <= derived:
             raise InputError("stem condition violated: kernel not inside derived subgroup")
 
-    def _gen_codes(self):
-        return [self._code_of_perm(g) for g in self.cover_group.generators]
-
-    def _code_of_perm(self, perm):
-        # cover elements are materialized through element_fn; generator codes
-        # are recovered by scanning once and cached
-        if not hasattr(self, "_gen_code_cache"):
-            self._gen_code_cache = {}
-        key = perm.images
-        if key not in self._gen_code_cache:
-            for c in range(self.size):
-                if self._element_fn(c).images == key:
-                    self._gen_code_cache[key] = c
-                    break
-            else:
-                raise InputError("element does not belong to the cover")
-        return self._gen_code_cache[key]
-
     def _derived_data(self):
         if self._derived is None:
             self._derived = _derived_gen_codes(
-                self.mul, self.inv, self.identity, self._gen_codes()
+                self.mul, self.inv, self.identity, self.gen_codes
             )
         return self._derived
 
@@ -268,6 +215,10 @@ class CentralExtension:
             self._lift = lift
         return int(self._lift[int(base_code)])
 
+    def lift_commutator(self, x, y):
+        """Code of [x~, y~] for the least lifts of base codes x and y."""
+        return _commutator(self.mul, self.inv, self.lift_code(x), self.lift_code(y))
+
     def preimage_codes(self, base_codes):
         mask = np.isin(self.proj, np.asarray(list(base_codes), dtype=np.int64))
         return [int(c) for c in np.nonzero(mask)[0]]
@@ -295,8 +246,7 @@ def commutator_pairing(ext, x, y):
     cx, cy = bt.code(x), bt.code(y)
     if int(bt.mul[cx, cy]) != int(bt.mul[cy, cx]):
         raise InputError("commutator pairing requires commuting elements")
-    lx, ly = ext.lift_code(cx), ext.lift_code(cy)
-    comm = int(ext.mul[ext.mul[ext.inv[lx], ext.inv[ly]], ext.mul[lx, ly]])
+    comm = ext.lift_commutator(cx, cy)
     if comm not in set(ext.kernel_codes):
         raise InternalCheckError("commutator of lifts landed outside the kernel")
     return ext.element(comm)
@@ -313,13 +263,7 @@ def _pairing_codes(ext, class_rep_code, derived_only):
         derived = ext.base_group.derived_subgroup()
         dcodes = {bt.code(d) for d in derived.elements()}
         zs = [z for z in zs if int(z) in dcodes]
-    lg = ext.lift_code(g)
-    out = set()
-    for z in zs:
-        lz = ext.lift_code(int(z))
-        comm = int(ext.mul[ext.mul[ext.inv[lg], ext.inv[lz]], ext.mul[lg, lz]])
-        out.add(comm)
-    return out
+    return {ext.lift_commutator(g, int(z)) for z in zs}
 
 
 def obstruction_subgroups(ext, classes):
@@ -337,8 +281,8 @@ def obstruction_subgroups(ext, classes):
         rep = bt.code(c.representative)
         full |= _pairing_codes(ext, rep, derived_only=False)
         primed |= _pairing_codes(ext, rep, derived_only=True)
-    full_closed = _closure_codes(ext.mul, ext.identity, full)
-    primed_closed = _closure_codes(ext.mul, ext.identity, primed)
+    full_closed = subgroup_codes(ext.mul, ext.identity, sorted(full))
+    primed_closed = subgroup_codes(ext.mul, ext.identity, sorted(primed))
     return ext.kernel_subgroup(full_closed), ext.kernel_subgroup(primed_closed)
 
 
@@ -369,9 +313,9 @@ def reduce_cover(ext, classes):
     return reduced
 
 
-def _central_quotient(ext, subgroup_codes):
+def _central_quotient(ext, h_codes):
     """Quotient extension cover/H for a central subgroup H given by codes."""
-    hset = sorted(set(int(c) for c in subgroup_codes))
+    hset = sorted(set(int(c) for c in h_codes))
     size = ext.size
     coset_of = np.full(size, -1, dtype=np.int64)
     reps = []
@@ -386,41 +330,30 @@ def _central_quotient(ext, subgroup_codes):
     q_size = len(reps)
     q_mul = coset_of[ext.mul[np.ix_(reps, reps)]]
     q_identity = int(coset_of[ext.identity])
-    q_inv = np.empty(q_size, dtype=np.int64)
-    for a in range(q_size):
-        q_inv[a] = coset_of[ext.inv[reps[a]]]
-    q_order = np.empty(q_size, dtype=np.int64)
-    for a in range(q_size):
-        n, acc = 1, a
-        while acc != q_identity:
-            acc = int(q_mul[acc, a])
-            n += 1
-        q_order[a] = n
+    q_inv = coset_of[ext.inv[reps]]
     # cosets of H are permuted by right multiplication; this regular-style
     # action is faithful for the quotient group
     def coset_perm(code):
         return Permutation(int(coset_of[ext.mul[r, reps[code]]]) for r in reps)
 
-    gen_codes = [int(coset_of[ext._code_of_perm(g)]) for g in ext.cover_group.generators]
-    gen_perms = [coset_perm(c) for c in gen_codes]
-    q_group = PermGroup(q_size, gen_perms, name=f"{ext.name or 'cover'}/H")
-    q_proj = np.empty(q_size, dtype=np.int64)
-    for a in range(q_size):
-        q_proj[a] = ext.proj[reps[a]]
+    # PermGroup drops identity and repeated generators; coset_perm is
+    # faithful, so dropping them by code keeps the codes aligned
+    gen_codes = list(dict.fromkeys(int(coset_of[c]) for c in ext.gen_codes))
+    gen_codes = [c for c in gen_codes if c != q_identity]
+    q_group = PermGroup(
+        q_size, [coset_perm(c) for c in gen_codes], name=f"{ext.name or 'cover'}/H"
+    )
     quotient = CentralExtension(
         q_group,
         ext.base_group,
         q_mul,
         q_inv,
         q_identity,
-        q_order,
-        q_proj,
+        ext.proj[reps],
+        gen_codes,
         coset_perm,
         name=f"{ext.name or 'cover'} reduced",
     )
-    quotient._gen_code_cache = {
-        p.images: c for p, c in zip(gen_perms, gen_codes)
-    }
     quotient.verify()
     return quotient
 
@@ -441,8 +374,7 @@ def _preimage_counts(ext, conj_class):
     bt = ext.base_group.table()
     class_codes = [bt.code(g) for g in conj_class.elements]
     pre = ext.preimage_codes(class_codes)
-    gen_codes = ext._gen_codes()
-    classes = _conj_partition(ext.mul, ext.inv, pre, gen_codes)
+    classes = _conj_partition(ext.mul, ext.inv, pre, ext.gen_codes)
     derived_gens, _ = ext._derived_data()
     derived_orbits = _conj_partition(ext.mul, ext.inv, pre, derived_gens)
     return len(classes), len(derived_orbits)
@@ -574,10 +506,8 @@ def _find_witness(ext, classes, primed_codes):
         g = bt.code(c.representative)
         col = bt.mul[:, g]
         row = bt.mul[g, :]
-        lg = ext.lift_code(g)
         for z in np.nonzero(col == row)[0]:
-            lz = ext.lift_code(int(z))
-            comm = int(ext.mul[ext.mul[ext.inv[lg], ext.inv[lz]], ext.mul[lg, lz]])
+            comm = ext.lift_commutator(g, int(z))
             if comm not in primed_codes:
                 return (i, bt.perm(g), bt.perm(int(z)), ext.element(comm))
     raise InternalCheckError("subgroups differ but no witness pairing found")
@@ -623,7 +553,6 @@ class LiftData:
             raise InputError("extension base group differs from the parameter's group")
         self.ext = ext
         self.h = h
-        gen_codes = ext._gen_codes()
         lift_of = np.full(bt.size, -1, dtype=np.int64)
         chosen = []
         for c in h.classes:
@@ -634,7 +563,7 @@ class LiftData:
                 ext.mul,
                 ext.inv,
                 ext.preimage_codes([bt.code(g) for g in c.elements]),
-                gen_codes,
+                ext.gen_codes,
             ):
                 if least in part:
                     orbit = part
@@ -705,7 +634,7 @@ class LabelOrbitReport:
     realized: tuple  # sorted realized label indices
     label_orbits: tuple  # tuple of tuples: orbits of realized labels
     stabilizer_orders: dict  # label index -> |Out(G,C)_label|
-    maps: tuple  # per automorphism: dict label -> label
+    maps: tuple  # per automorphism: label map over kernel indices (unrealized fixed)
 
 
 def out_action_on_labels(ext_reduced, h, aut, fiber, labels=None):
@@ -720,45 +649,29 @@ def out_action_on_labels(ext_reduced, h, aut, fiber, labels=None):
     base_labels = labels
     if base_labels is None:
         base_labels = lift.label_codes_for_rows(fiber.rows)
-    realized = sorted(set(int(x) for x in base_labels))
+    base_labels = np.asarray(base_labels, dtype=np.int64)
+    realized = np.unique(base_labels)
     maps = []
     for a in aut.maps:
         moved = a.element_map[fiber.rows].astype(np.int64)
         new_labels = lift.label_codes_for_rows(moved)
-        label_map = {}
-        for old, new in zip(base_labels, new_labels):
-            old, new = int(old), int(new)
-            if label_map.setdefault(old, new) != new:
-                raise InternalCheckError(
-                    "automorphism induces an ill-defined label map"
-                )
-        if a.inner and any(label_map[l] != l for l in realized):
+        label_map = np.arange(len(lift.kernel_sorted))
+        label_map[base_labels] = new_labels
+        if (label_map[base_labels] != new_labels).any():
+            raise InternalCheckError(
+                "automorphism induces an ill-defined label map"
+            )
+        if a.inner and (label_map[realized] != realized).any():
             raise InternalCheckError("inner automorphism moved a lifting label")
         maps.append(label_map)
-    # orbits of realized labels under all maps
-    remaining = set(realized)
-    orbits = []
-    while remaining:
-        start = min(remaining)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for x in frontier:
-                for m in maps:
-                    y = m[x]
-                    if y not in orbit:
-                        orbit.add(y)
-                        new.append(y)
-            frontier = new
-        remaining -= orbit
-        orbits.append(tuple(sorted(orbit)))
-    stab = {
-        l: sum(1 for m in maps if m[l] == l) // aut.inner_count for l in realized
-    }
+    step = np.array(maps, dtype=np.int64).reshape(len(maps), len(lift.kernel_sorted))
+    orbits = orbit_partition(step, realized)
+    fixed = (step[:, realized] == realized).sum(axis=0)
     return LabelOrbitReport(
-        realized=tuple(realized),
-        label_orbits=tuple(orbits),
-        stabilizer_orders=stab,
+        realized=tuple(realized.tolist()),
+        label_orbits=tuple(tuple(orbit.tolist()) for orbit in orbits),
+        stabilizer_orders={
+            int(l): int(count) // aut.inner_count for l, count in zip(realized, fixed)
+        },
         maps=tuple(maps),
     )

@@ -99,14 +99,20 @@ def parse_permutation(value, degree, pointer):
     raise InputError("permutation must be a cycle string or an image array", pointer=pointer)
 
 
-def load_group_file(path):
-    path = Path(path)
+def _read_object(path, kind):
+    """The JSON object in a file; anything else is an InputError."""
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise InputError(f"invalid JSON in {path}: {e}") from None
     if not isinstance(data, dict):
-        raise InputError("group file must be a JSON object", pointer="/")
+        raise InputError(f"{kind} file must be a JSON object", pointer="/")
+    return data
+
+
+def load_group_file(path):
+    path = Path(path)
+    data = _read_object(path, "group")
     degree = _require(data, "degree", int, "")
     gens_raw = _require(data, "generators", list, "")
     gens = [
@@ -172,12 +178,7 @@ class ParameterInput:
 
 def load_parameter_file(path):
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise InputError(f"invalid JSON in {path}: {e}") from None
-    if not isinstance(data, dict):
-        raise InputError("parameter file must be a JSON object", pointer="/")
+    data = _read_object(path, "parameter")
     group_ref = _require(data, "group", (str,), "")
     group = resolve_group(group_ref, relative_to=path.parent)
     selectors = _require(data, "classes", list, "")
@@ -196,12 +197,7 @@ def load_parameter_file(path):
 
 def load_cover_file(path, base_group=None):
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise InputError(f"invalid JSON in {path}: {e}") from None
-    if not isinstance(data, dict):
-        raise InputError("cover file must be a JSON object", pointer="/")
+    data = _read_object(path, "cover")
     cg_raw = _require(data, "cover_generators", list, "")
     ig_raw = _require(data, "image_generators", list, "")
     if len(cg_raw) != len(ig_raw):
@@ -238,17 +234,16 @@ def parse_inputs(parameter_path, cover_path=None):
     """(ParameterInput, CentralExtension or None) from file paths.
 
     The cover's base group must match the parameter's group (same degree
-    and the same element set); the extension is rebound to the parameter's
-    group object so that caches are shared.
+    and the same element set); the extension is built once, on the
+    parameter's group object, so that caches are shared.
     """
     pinput = load_parameter_file(parameter_path)
     ext = None
     if cover_path is not None:
-        ext = load_cover_file(cover_path, base_group=None)
-        if ext.base_group.degree != pinput.group.degree or not ext.base_group.equals(
-            pinput.group
-        ):
+        cover_path = Path(cover_path)
+        base_ref = _require(_read_object(cover_path, "cover"), "base_group", (str,), "")
+        base = resolve_group(base_ref, relative_to=cover_path.parent)
+        if base.degree != pinput.group.degree or not base.equals(pinput.group):
             raise InputError("cover base group does not match the parameter's group")
-        if ext.base_group is not pinput.group:
-            ext = load_cover_file(cover_path, base_group=pinput.group)
+        ext = load_cover_file(cover_path, base_group=pinput.group)
     return pinput, ext

@@ -1,9 +1,10 @@
 """Braid orbits on fibers, monodromy groups, and fullness certification.
 
 The block-preserving braid generators act on a fiber through index
-permutations; their orbits are the connected components of the resulting
-Schreier graph, and the group they generate is the monodromy group of the
-corresponding cover of configuration spaces.  An action on a set X is full
+permutations; their orbits come from the shared level-wise orbit primitive
+(`perms.orbit_partition`) over those index arrays, and the group they
+generate is the monodromy group of the corresponding cover of
+configuration spaces.  An action on a set X is full
 when its image contains Alt(X); it is quasi-full when the image contains
 the product of the alternating groups of all its orbits.  Alt(X) is
 trivial for |X| <= 2, so orbits of size one or two are vacuously full;
@@ -27,8 +28,6 @@ from dataclasses import dataclass
 from math import factorial, isqrt, lcm, prod
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError, InternalCheckError
 from .nielsen import (
@@ -40,7 +39,7 @@ from .nielsen import (
     key_positions,
     row_keys,
 )
-from .perms import PermGroup, Permutation
+from .perms import PermGroup, Permutation, orbit_partition
 
 
 @dataclass
@@ -62,35 +61,23 @@ class OrbitPartition:
         return len(self.orbit_sizes)
 
 
+def _orbits_and_ids(arrays, n):
+    """Orbits of index arrays on range(n), by least point, and each point's orbit id."""
+    orbits = orbit_partition(np.array(arrays, dtype=np.int64).reshape(len(arrays), n))
+    orbit_id = np.empty(n, dtype=np.int64)
+    for i, orbit in enumerate(orbits):
+        orbit_id[orbit] = i
+    return orbits, orbit_id
+
+
 def braid_orbits(fiber, gen_arrays, lift_data=None):
-    """Union of the Schreier graphs of the generators, as an OrbitPartition."""
-    n = len(fiber)
-    if n == 0:
-        empty_labels = () if lift_data is not None else None
-        return OrbitPartition(np.empty(0, dtype=np.int64), (), (), empty_labels)
-    rows = []
-    cols = []
-    for arr in gen_arrays:
-        rows.append(np.arange(n))
-        cols.append(np.asarray(arr))
-    if rows:
-        graph = coo_matrix(
-            (np.ones(n * len(gen_arrays), dtype=np.int8), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-        _, raw = connected_components(graph, directed=False)
-    else:
-        raw = np.arange(n)
-    # renumber components by least contained point
-    first = {}
-    for i, c in enumerate(raw):
-        first.setdefault(int(c), i)
-    order = sorted(first, key=lambda c: first[c])
-    renum = {c: i for i, c in enumerate(order)}
-    orbit_id = np.array([renum[int(c)] for c in raw], dtype=np.int64)
-    members = []
-    for i in range(len(order)):
-        members.append(tuple(int(x) for x in np.nonzero(orbit_id == i)[0]))
+    """Orbits of the generators' index arrays on the fiber, as an OrbitPartition.
+
+    The orbits are found level by level by `orbit_partition` and numbered
+    by least point.
+    """
+    orbits, orbit_id = _orbits_and_ids(gen_arrays, len(fiber))
+    members = [tuple(orbit.tolist()) for orbit in orbits]
     sizes = tuple(len(m) for m in members)
     labels = None
     if lift_data is not None:
@@ -232,16 +219,8 @@ def _primes_upto(n):
 
 def _is_transitive(perms, size):
     """Whether the generators reach every point from point 0."""
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for g in perms:
-            y = g.images[x]
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == size
+    step = np.array([g.images for g in perms], dtype=np.int64).reshape(len(perms), size)
+    return len(orbit_partition(step, [0])[0]) == size
 
 
 def fullness_by_jordan_witness(perms, size, word_budget=4000, primitive=None):
@@ -576,10 +555,7 @@ def cross_check_braid_orbits(h, budget=None):
     for i in range(1, n):
         moved = apply_word_codes(superset, (i,), table)
         arrays.append(key_positions(keys, row_keys(moved, table.size)))
-    rows = np.concatenate([np.arange(m)] * len(arrays))
-    cols = np.concatenate(arrays)
-    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(m, m))
-    _, comp = connected_components(graph, directed=False)
+    _, comp = _orbits_and_ids(arrays, m)
     # restrict to the block-ordered subset and compare with the direct route
     tuples = enumerate_tuples(h, budget=budget)
     direct_keys = row_keys(tuples.codes, table.size)
@@ -589,11 +565,7 @@ def cross_check_braid_orbits(h, budget=None):
     for w in sigma_words:
         moved = apply_word_codes(tuples.codes, w.letters, table)
         direct_arrays.append(key_positions(direct_keys, row_keys(moved, table.size)))
-    k = len(tuples.codes)
-    rows2 = np.concatenate([np.arange(k)] * len(direct_arrays))
-    cols2 = np.concatenate(direct_arrays)
-    graph2 = coo_matrix((np.ones(len(rows2), dtype=np.int8), (rows2, cols2)), shape=(k, k))
-    _, comp2 = connected_components(graph2, directed=False)
+    _, comp2 = _orbits_and_ids(direct_arrays, len(tuples.codes))
     # the two partitions of the block-ordered tuples must be identical
     pairing = {}
     for a, b in zip(restricted, comp2):

@@ -597,6 +597,56 @@ def _ilog(n, p):
     return k
 
 
+def orbit_partition(step, points=None):
+    """Orbits of the maps x -> step[j, x] through the listed points.
+
+    `step` is a (k, m) integer array whose rows are permutations of
+    range(m), so that the orbits partition the points; `points` defaults to
+    all m points.  Returns the orbit of every listed point once, each as a
+    sorted int64 array, ordered by least point.  The orbit algorithm of Holt, Eick and
+    O'Brien (Handbook of Computational Group Theory, 4.1), run level by
+    level: the images of a whole frontier are gathered at once and the
+    unseen ones form the next frontier.
+    """
+    step = np.asarray(step)
+    m = step.shape[1]
+    points = range(m) if points is None else np.unique(points).tolist()
+    if len(step) == 0:
+        return [np.array([p], dtype=np.int64) for p in points]
+    seen = np.zeros(m, dtype=bool)
+    orbits = []
+    for start in points:
+        if seen[start]:
+            continue
+        seen[start] = True
+        frontier = np.array([start], dtype=np.int64)
+        levels = [frontier]
+        while frontier.size:
+            images = step[:, frontier].ravel()
+            frontier = np.unique(images[~seen[images]])
+            seen[frontier] = True
+            levels.append(frontier)
+        orbits.append(np.sort(np.concatenate(levels)))
+    orbits.sort(key=lambda orbit: orbit[0])
+    return orbits
+
+
+def subgroup_codes(mul, identity, codes):
+    """Subgroup generated by codes of a dense multiplication table, sorted.
+
+    It is the orbit of the identity under right multiplication by the
+    generators.
+    """
+    gens = np.unique(np.asarray(codes, dtype=np.int64))
+    return tuple(orbit_partition(mul[:, gens].T, [identity])[0].tolist())
+
+
+def conjugation_maps(mul, inv, codes):
+    """Row j maps x -> g^-1 x g for g = codes[j], over a dense multiplication table."""
+    codes = np.asarray(codes, dtype=np.int64)
+    return mul[mul[inv[codes]], codes[:, None]]
+
+
 class PermGroup:
     """A finite permutation group given by generators.
 
@@ -817,24 +867,9 @@ class PermGroup:
 
     def orbits(self):
         """Orbits on the ambient points, each sorted, ordered by least point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            qi = 0
-            while qi < len(orbit):
-                p = orbit[qi]
-                qi += 1
-                for g in self.generators:
-                    q = g.images[p]
-                    if not seen[q]:
-                        seen[q] = True
-                        orbit.append(q)
-            out.append(sorted(orbit))
-        return out
+        step = np.array([g.images for g in self.generators], dtype=np.int64)
+        step = step.reshape(len(self.generators), self.degree)
+        return [orbit.tolist() for orbit in orbit_partition(step)]
 
     def table(self):
         if self._table is None:
@@ -922,19 +957,7 @@ class GroupTable:
 
     def closure_codes(self, codes):
         """Subgroup generated by the given codes, as a sorted tuple of codes."""
-        seed = [int(c) for c in codes]
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in seed:
-                    y = int(self.mul[x, g])
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-        return tuple(sorted(seen))
+        return subgroup_codes(self.mul, self.identity, codes)
 
 
 class SubgroupCloser:

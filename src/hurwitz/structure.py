@@ -19,50 +19,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .perms import PermGroup, Permutation
+from .perms import PermGroup, Permutation, conjugation_maps, orbit_partition
 
 
 def is_ambiguous(group, conj_class):
     """True when the derived subgroup has more than one orbit on the class."""
     if conj_class.group is not group:
         raise InputError("class does not belong to the given group")
-    derived = group.derived_subgroup()
-    rep = conj_class.representative
-    orbit = {rep.images}
-    frontier = [rep]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in derived.generators:
-                y = x.conjugate_by(g)
-                if y.images not in orbit:
-                    orbit.add(y.images)
-                    new.append(y)
-        frontier = new
-    return len(orbit) < conj_class.size
+    return derived_orbit_count(group, conj_class) > 1
 
 
 def derived_orbit_count(group, conj_class):
     """Number of derived-subgroup conjugation orbits on the class."""
-    derived = group.derived_subgroup()
-    remaining = {g.images for g in conj_class.elements}
-    count = 0
-    while remaining:
-        start = min(remaining)
-        orbit = {start}
-        frontier = [Permutation(start)]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in derived.generators:
-                    y = x.conjugate_by(g)
-                    if y.images not in orbit:
-                        orbit.add(y.images)
-                        new.append(y)
-            frontier = new
-        remaining -= orbit
-        count += 1
-    return count
+    table = group.table()
+    derived_codes = [table.code(g) for g in group.derived_subgroup().generators]
+    class_codes = [table.code(g) for g in conj_class.elements]
+    step = conjugation_maps(table.mul, table.inv, derived_codes)
+    return len(orbit_partition(step, class_codes))
 
 
 def centralizer_covers_abelianization(group, conj_class):
@@ -309,33 +282,27 @@ def minimal_generating_sequence(group):
 def _hom_closure(table_g, table_h, gen_codes, image_codes):
     """Extend generator images to a full map, checking consistency.
 
-    Walks products of already-mapped elements with generators, mirroring
-    them on the image side; a collision with a different value means the
-    assignment extends to no homomorphism.  Returns the element map as a
-    numpy array, or None.  Consistency over generator products certifies a
-    homomorphism on the generated subgroup by induction on word length.
+    Walks products of already-mapped elements with generators, level by
+    level, mirroring them on the image side; a collision with a different
+    value means the assignment extends to no homomorphism.  Returns the
+    element map as a numpy array, or None.  Consistency over generator
+    products certifies a homomorphism on the generated subgroup by
+    induction on word length.
     """
-    m = table_g.size
-    fmap = np.full(m, -1, dtype=np.int64)
+    gens = np.asarray(gen_codes, dtype=np.int64)
+    images = np.asarray(image_codes, dtype=np.int64)
+    fmap = np.full(table_g.size, -1, dtype=np.int64)
     fmap[table_g.identity] = table_h.identity
-    frontier = [table_g.identity]
-    count = 1
-    while frontier:
-        new = []
-        for x in frontier:
-            fx = fmap[x]
-            for g, fg in zip(gen_codes, image_codes):
-                y = int(table_g.mul[x, g])
-                fy = int(table_h.mul[fx, fg])
-                cur = fmap[y]
-                if cur == -1:
-                    fmap[y] = fy
-                    new.append(y)
-                    count += 1
-                elif cur != fy:
-                    return None
-        frontier = new
-    if count != m:
+    frontier = np.array([table_g.identity], dtype=np.int64)
+    while frontier.size:
+        y = table_g.mul[frontier[:, None], gens].ravel()
+        fy = table_h.mul[fmap[frontier][:, None], images].ravel()
+        new = fmap[y] == -1
+        fmap[y[new]] = fy[new]
+        if (fmap[y] != fy).any():
+            return None
+        frontier = np.unique(y[new])
+    if (fmap == -1).any():
         return None  # generators failed to generate; should not happen
     return fmap
 

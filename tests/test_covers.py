@@ -10,6 +10,7 @@ import hurwitz as hw
 from hurwitz import PermGroup, Permutation
 from hurwitz.covers import (
     LiftData,
+    _conj_partition,
     classify_class,
     commutator_pairing,
     condition_e,
@@ -83,6 +84,15 @@ def test_non_homomorphism_rejected(s5):
     images = [Permutation.from_cycles("(1 2 3)", 5), Permutation.from_cycles("(1 2 3 4 5)", 5)]
     with pytest.raises(hw.InputError, match="homomorphism"):
         hw.load_extension(gens, images, s5)
+
+
+def test_conj_partition_rejects_a_subset_that_is_not_closed(s5):
+    table = s5.table()
+    transpositions = [table.code(g) for g in class_by_type(s5, (2, 1, 1, 1)).elements]
+    gens = [table.code(g) for g in s5.generators]
+    assert _conj_partition(table.mul, table.inv, transpositions, gens) == [sorted(transpositions)]
+    with pytest.raises(hw.InternalCheckError, match="left the given code subset"):
+        _conj_partition(table.mul, table.inv, transpositions[1:], gens)
 
 
 def test_non_surjective_rejected(s5):

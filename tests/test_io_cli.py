@@ -93,6 +93,23 @@ def test_cover_base_group_mismatch(tmp_path):
         parse_inputs(param, resolve_reference("2S5", "covers"))
 
 
+def test_parse_inputs_builds_one_extension(monkeypatch):
+    built = []
+    original = hw.CentralExtension.from_generators.__func__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args[2])
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(hw.CentralExtension, "from_generators", classmethod(counting))
+    pinput, ext = parse_inputs(
+        resolve_reference("h25", "params"), resolve_reference("2S5", "covers")
+    )
+    assert len(built) == 1
+    assert built[0] is pinput.group
+    assert ext.base_group is pinput.group
+
+
 def test_non_central_cover_diagnostic(tmp_path):
     cover = tmp_path / "c.json"
     cover.write_text(

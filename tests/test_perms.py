@@ -5,14 +5,19 @@ oracles in this file (brute-force partitions, element filters, matrix
 arithmetic), not by the code under test.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hurwitz as hw
-from hurwitz import PermGroup, Permutation, StabilizerChain, conjugate
+from hurwitz import PermGroup, Permutation, StabilizerChain, conjugate, orbit_partition
 
 from conftest import class_by_type
 
@@ -265,3 +270,82 @@ def test_normal_closure(s4):
     assert v4.order() == 4
     trans = Permutation.from_cycles("(1 2)", 4)
     assert s4.normal_closure([trans]).order() == 24
+
+
+# ---------------------------------------------------------------------------
+# the orbit primitive
+
+
+def bfs_orbits_oracle(step, points):
+    """Oracle: the per-point Python BFS loop that orbit_partition replaced."""
+    orbits = []
+    reached = set()
+    for start in sorted(set(points)):
+        if start in reached:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            new = []
+            for x in frontier:
+                for row in step:
+                    y = int(row[x])
+                    if y not in orbit:
+                        orbit.add(y)
+                        new.append(y)
+            frontier = new
+        reached |= orbit
+        orbits.append(sorted(orbit))
+    return sorted(orbits)
+
+
+def random_step(rng, k, m):
+    return np.array([rng.permutation(m) for _ in range(k)], dtype=np.int64).reshape(k, m)
+
+
+def test_orbit_partition_matches_bfs_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        k = int(rng.integers(0, 4))
+        m = int(rng.integers(1, 40))
+        step = random_step(rng, k, m)
+        got = [orbit.tolist() for orbit in orbit_partition(step)]
+        assert got == bfs_orbits_oracle(step, range(m))
+        assert all(orbit.dtype == np.int64 for orbit in orbit_partition(step))
+        points = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
+        got = [orbit.tolist() for orbit in orbit_partition(step, points)]
+        assert got == bfs_orbits_oracle(step, points.tolist())
+
+
+def test_orbit_partition_edge_cases():
+    empty = np.empty((0, 5), dtype=np.int64)
+    assert [o.tolist() for o in orbit_partition(empty)] == [[0], [1], [2], [3], [4]]
+    assert [o.tolist() for o in orbit_partition(empty, [3, 1, 3])] == [[1], [3]]
+    assert [o.tolist() for o in orbit_partition(np.zeros((2, 1), dtype=np.int64))] == [[0]]
+    # a listed subset returns whole orbits, ordered by least point
+    step = np.array([[5, 1, 3, 2, 4, 0]])
+    assert [o.tolist() for o in orbit_partition(step, [2, 5])] == [[0, 5], [2, 3]]
+
+
+@pytest.mark.parametrize("name", ["s5", "pgl27"])
+def test_closure_codes_matches_bfs_oracle(name, request):
+    table = request.getfixturevalue(name).table()
+    rng = random.Random(3)
+    for _ in range(30):
+        codes = rng.sample(range(table.size), rng.randint(0, 3))
+        step = [table.mul[:, g] for g in codes]
+        expected = bfs_orbits_oracle(step, [table.identity])[0]
+        closed = table.closure_codes(codes)
+        assert isinstance(closed, tuple)
+        assert list(closed) == expected
+    assert len(table.closure_codes([table.code(g) for g in table.group.generators])) == table.size
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(hw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, hurwitz.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,10 +1,13 @@
 """Ambiguity, pseudosimplicity, rationality, automorphism groups."""
 
+import random
+
 import numpy as np
 import pytest
 
 import hurwitz as hw
 from hurwitz import PermGroup, Permutation
+from hurwitz.structure import _hom_closure
 
 from conftest import class_by_type
 
@@ -128,6 +131,49 @@ def test_identity_class_rational(a5):
 
 # ---------------------------------------------------------------------------
 # automorphism groups
+
+
+def hom_closure_oracle(table_g, table_h, gen_codes, image_codes):
+    """Oracle: the element-by-element BFS that _hom_closure replaced."""
+    fmap = np.full(table_g.size, -1, dtype=np.int64)
+    fmap[table_g.identity] = table_h.identity
+    frontier = [table_g.identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g, fg in zip(gen_codes, image_codes):
+                y = int(table_g.mul[x, g])
+                fy = int(table_h.mul[fmap[x], fg])
+                if fmap[y] == -1:
+                    fmap[y] = fy
+                    new.append(y)
+                elif fmap[y] != fy:
+                    return None
+        frontier = new
+    return None if (fmap == -1).any() else fmap
+
+
+def test_hom_closure_matches_loop_oracle(s5, a5):
+    rng = random.Random(7)
+    aut = hw.automorphism_group(s5)
+    extended = []
+    for source, target in ((s5, s5), (a5, s5), (s5, a5)):
+        ts, tt = source.table(), target.table()
+        for _ in range(60):
+            gens = [rng.randrange(ts.size) for _ in range(rng.randint(0, 3))]
+            images = [rng.randrange(tt.size) for _ in gens]
+            if source is target and rng.random() < 0.5:
+                # generating codes sent through an automorphism extend
+                gens = [ts.code(g) for g in source.generators] + gens
+                fmap = rng.choice(aut.maps).element_map
+                images = [int(fmap[g]) for g in gens]
+            got = _hom_closure(ts, tt, gens, images)
+            want = hom_closure_oracle(ts, tt, gens, images)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want)
+            extended.append(want is not None)
+    assert any(extended) and not all(extended)
 
 
 def test_aut_s5_all_inner(s5):
