@@ -86,6 +86,6 @@ from .monodromy import (
     monodromy_group,
     quasi_fullness,
 )
-from .fiberpower import FiberPowerGroup, fiber_power_group, row_span_check
+from .fiberpower import FiberPowerGroup, fiber_power_group, row_span_check, row_span_checker
 
 __version__ = "0.1.0"

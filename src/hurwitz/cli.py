@@ -14,6 +14,7 @@ internal consistency check (a bug; the report carries "internal": true).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -26,7 +27,7 @@ from .covers import (
     reduce_cover,
 )
 from .errors import BudgetError, InputError, InternalCheckError
-from .fiberpower import row_span_check
+from .fiberpower import row_span_checker
 from .io import load_cover_file, load_group_file, parse_inputs, resolve_reference, sha256_of
 from .monodromy import (
     braid_orbits,
@@ -289,9 +290,10 @@ def cmd_goursat(args):
     false_distinct = 0
     true_diag = 0
     false_diag = 0
+    check = row_span_checker(h, 2)
     for i in range(n):
         for j in range(n):
-            ok = row_span_check(h, [pts[i], pts[j]])
+            ok = check([pts[i], pts[j]])
             if i == j:
                 true_diag += ok
                 false_diag += not ok
@@ -410,6 +412,12 @@ def main(argv=None):
             getattr(args, "out", None),
         )
         return EXIT_INTERNAL
+    finally:
+        # a command's groups, tables, classes and automorphisms point back
+        # at one another through `.group`, so only the cyclic collector
+        # frees them; collect here so a process running many commands does
+        # not keep every earlier command's tables alive
+        gc.collect()
     emit(report, args.out)
     return EXIT_OK
 

@@ -11,6 +11,12 @@ class-preserving automorphisms all fix the classes, the rows generate the
 whole fiber power exactly when the k points are pairwise distinct.  That
 equivalence is the Goursat-style distinctness criterion this module
 implements as an exact subgroup-order test.
+
+`row_span_checker(h, k)` checks the group-level preconditions and builds
+the fiber power once, and returns a test of k tuples that only embeds the
+rows and compares one subgroup order; sweeping many tuple sets of one
+parameter (as `hurwitz goursat` does over all pairs of fiber points) goes
+through one checker.  `row_span_check(h, tuples)` is the single-shot form.
 """
 
 from __future__ import annotations
@@ -99,7 +105,6 @@ def _classes_safe_for_row_span(h):
 
     aut = automorphism_group(h.group)
     ab = h.group.abelianization()
-    table = h.group.table()
     all_classes = h.group.conjugacy_classes()
     rep_labels = [ab.label(c.representative) for c in all_classes]
     for i, a in enumerate(aut.maps):
@@ -117,16 +122,16 @@ def _classes_safe_for_row_span(h):
             )
 
 
-def row_span_check(h, tuples):
-    """Whether the rows of the tuple matrix generate the full fiber power.
+def row_span_checker(h, k):
+    """A test of whether the rows of k tuples generate the full fiber power.
 
-    `tuples` is a list of k Nielsen tuples (lifted fiber representatives).
-    Preconditions: the group is pseudosimple, and either all classes are
-    unambiguous or every automorphism over the abelianization fixes each
-    class (checked; otherwise UnsupportedConfigurationError).
+    The returned function takes a list of k Nielsen tuples (lifted fiber
+    representatives) and returns a bool.  Preconditions, checked here once:
+    the group is pseudosimple, and either all classes are unambiguous or
+    every automorphism over the abelianization fixes each class (otherwise
+    UnsupportedConfigurationError).
     """
-    k = len(tuples)
-    if k == 0:
+    if k < 1:
         raise InputError("at least one tuple is required")
     verdict = is_pseudosimple(h.group)
     if not verdict.pseudosimple:
@@ -134,13 +139,23 @@ def row_span_check(h, tuples):
             f"group not pseudosimple: {verdict.reason}"
         )
     _classes_safe_for_row_span(h)
-    n = h.n
-    for t in tuples:
-        if len(t) != n:
-            raise InputError("tuple length does not match the parameter")
     power = FiberPowerGroup(h.group, k)
-    rows = []
-    for j in range(n):
-        rows.append(power.embed_tuple([t[j] for t in tuples]))
-    spanned = PermGroup(power.realized.degree, rows)
-    return spanned.order() == power.order
+    n = h.n
+
+    def check(tuples):
+        if len(tuples) != k:
+            raise InputError(f"expected {k} tuples, got {len(tuples)}")
+        for t in tuples:
+            if len(t) != n:
+                raise InputError("tuple length does not match the parameter")
+        rows = [power.embed_tuple([t[j] for t in tuples]) for j in range(n)]
+        spanned = PermGroup(power.realized.degree, rows)
+        return spanned.order() == power.order
+
+    return check
+
+
+def row_span_check(h, tuples):
+    """Whether the rows of the tuple matrix generate the full fiber power;
+    one-shot form of `row_span_checker(h, len(tuples))`."""
+    return row_span_checker(h, len(tuples))(tuples)

@@ -19,8 +19,8 @@ this package targets (|G| <= a few thousand).
 
 from __future__ import annotations
 
+import math
 import re
-import threading
 
 import numpy as np
 
@@ -155,7 +155,7 @@ class Permutation:
     def order(self):
         n = 1
         for length in self.cycle_type():
-            n = _lcm(n, length)
+            n = math.lcm(n, length)
         return n
 
     def cycle_type(self):
@@ -203,27 +203,9 @@ def conjugate(g, h):
     return g.conjugate_by(h)
 
 
-def _lcm(a, b):
-    from math import gcd
-
-    return a // gcd(a, b) * b
-
-
 def _compose(p, q):
     # raw image-tuple composition, left to right
     return tuple(q[i] for i in p)
-
-
-def _inverse(p):
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
-
-
-def _compose_bytes(p, q256):
-    # q256 is a 256-byte translation table; values beyond the degree unused
-    return p.translate(q256)
 
 
 def _pad256(p):
@@ -671,7 +653,6 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self.name = name
-        self._lock = threading.Lock()  # single writer for the lazy caches
         self._chain = None
         self._elements = None
         self._classes = None
@@ -717,9 +698,7 @@ class PermGroup:
         if base_prefix or strategy != "greedy":
             return StabilizerChain(self.generators, self.degree, base_prefix, strategy)
         if self._chain is None:
-            with self._lock:
-                if self._chain is None:
-                    self._chain = StabilizerChain(self.generators, self.degree)
+            self._chain = StabilizerChain(self.generators, self.degree)
         return self._chain
 
     def order(self):
@@ -758,25 +737,22 @@ class PermGroup:
                     consumed=order,
                     budget=cap,
                 )
-            with self._lock:
-                if self._elements is not None:
-                    return self._elements
-                ident = Permutation.identity(self.degree)
-                seen = {ident.images}
-                frontier = [ident]
-                out = [ident]
-                while frontier:
-                    new = []
-                    for x in frontier:
-                        for g in self.generators:
-                            y = x * g
-                            if y.images not in seen:
-                                seen.add(y.images)
-                                new.append(y)
-                                out.append(y)
-                    frontier = new
-                out.sort()
-                self._elements = tuple(out)
+            ident = Permutation.identity(self.degree)
+            seen = {ident.images}
+            frontier = [ident]
+            out = [ident]
+            while frontier:
+                new = []
+                for x in frontier:
+                    for g in self.generators:
+                        y = x * g
+                        if y.images not in seen:
+                            seen.add(y.images)
+                            new.append(y)
+                            out.append(y)
+                frontier = new
+            out.sort()
+            self._elements = tuple(out)
         return self._elements
 
     def conjugacy_classes(self, cap=None):
@@ -928,21 +904,6 @@ class GroupTable:
 
     def perm(self, code):
         return self.elements[int(code)]
-
-    def conj(self, g, h):
-        """code of h^-1 g h."""
-        return int(self.mul[self.mul[self.inv[h], g], h])
-
-    def comm(self, a, b):
-        """code of a^-1 b^-1 a b."""
-        left = self.mul[self.inv[a], self.inv[b]]
-        return int(self.mul[left, self.mul[a, b]])
-
-    def product(self, codes):
-        acc = self.identity
-        for c in codes:
-            acc = int(self.mul[acc, c])
-        return acc
 
     def inner_maps(self):
         """Element relabeling x -> x^z for every z, as an (m, m) array."""

@@ -102,7 +102,6 @@ def is_pseudosimple(group):
         return StructureVerdict(False, reason="derived group not perfect-power-of-simple")
     # minimal normal closures inside the derived group
     closures = []
-    seen_orders = set()
     for c in derived.conjugacy_classes():
         if c.representative.is_identity():
             continue
@@ -227,7 +226,7 @@ class AutGroup:
         m = table.size
         for a in self.maps:
             fmap = a.element_map
-            if len(set(int(x) for x in fmap)) != m:
+            if np.unique(fmap).size != m:
                 raise InputError("automorphism map is not a bijection")
             if full:
                 left = fmap[table.mul]
@@ -365,7 +364,7 @@ def isomorphisms(source, target, find_all=True, cap=None):
     def backtrack(i):
         if i == len(gens):
             fmap = _hom_closure(ts, tt, gen_codes, chosen)
-            if fmap is not None and len(set(int(x) for x in fmap)) == ts.size:
+            if fmap is not None and np.unique(fmap).size == ts.size:
                 found.append(fmap)
             return not find_all and bool(found)
         for cand in pools[i]:

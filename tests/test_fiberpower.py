@@ -1,9 +1,12 @@
 """Fiber powers and the row-span distinctness criterion."""
 
+import random
+
 import pytest
 
 import hurwitz as hw
-from hurwitz import PermGroup, Permutation, fiber_power_group, row_span_check
+from hurwitz import PermGroup, Permutation, fiber_power_group, row_span_check, row_span_checker
+from hurwitz import cli, covers, fiberpower, structure
 
 from conftest import class_by_type
 
@@ -60,8 +63,58 @@ def test_row_span_rejects_non_pseudosimple(s4):
             Permutation.from_cycles("(1 2 3)", 4),
         ]
     )
-    with pytest.raises(hw.UnsupportedConfigurationError, match="pseudosimple"):
+    with pytest.raises(hw.UnsupportedConfigurationError, match="pseudosimple") as one_shot:
         row_span_check(h, [t, t])
+    # the checker refuses when it is built, before any tuples arrive
+    with pytest.raises(hw.UnsupportedConfigurationError) as built:
+        row_span_checker(h, 2)
+    assert str(built.value) == str(one_shot.value)
+
+
+def test_row_span_checker_matches_row_span_check(h25, h25_data):
+    pts = h25_data["fiber_aut"].points()
+    rng = random.Random(7)
+    pairs = [(i, i) for i in rng.sample(range(len(pts)), 3)]
+    pairs += [tuple(rng.sample(range(len(pts)), 2)) for _ in range(9)]
+    check = row_span_checker(h25, 2)
+    for i, j in pairs:
+        tuples = [pts[i], pts[j]]
+        assert check(tuples) == row_span_check(h25, tuples) == (i != j)
+
+
+def test_row_span_checker_rejects_wrong_tuples(h25, h25_data):
+    pts = h25_data["fiber_aut"].points()
+    with pytest.raises(hw.InputError, match="at least one"):
+        row_span_checker(h25, 0)
+    check = row_span_checker(h25, 2)
+    with pytest.raises(hw.InputError, match="expected 2 tuples"):
+        check([pts[0]])
+    with pytest.raises(hw.InputError, match="expected 2 tuples"):
+        check([pts[0], pts[1], pts[2]])
+    with pytest.raises(hw.InputError, match="tuple length"):
+        check([pts[0], list(pts[1])[:-1]])
+
+
+def test_goursat_checks_preconditions_once(monkeypatch, tmp_path):
+    pseudosimple_calls = []
+    power_builds = []
+    original_pseudosimple = structure.is_pseudosimple
+    original_init = fiberpower.FiberPowerGroup.__init__
+
+    def counting_pseudosimple(group):
+        pseudosimple_calls.append(group)
+        return original_pseudosimple(group)
+
+    def counting_init(self, base, k):
+        power_builds.append(k)
+        original_init(self, base, k)
+
+    for module in (structure, covers, fiberpower):
+        monkeypatch.setattr(module, "is_pseudosimple", counting_pseudosimple)
+    monkeypatch.setattr(fiberpower.FiberPowerGroup, "__init__", counting_init)
+    assert cli.main(["goursat", "h25", "--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+    assert len(pseudosimple_calls) == 1
+    assert power_builds == [2]
 
 
 def test_row_span_allows_s5_ambiguous_class(h25, h25_data):

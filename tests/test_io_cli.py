@@ -1,6 +1,7 @@
 """File parsing, schema diagnostics, CLI subcommands, exit codes, determinism."""
 
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,24 @@ def test_parse_inputs_builds_one_extension(monkeypatch):
     assert len(built) == 1
     assert built[0] is pinput.group
     assert ext.base_group is pinput.group
+
+
+def test_main_frees_the_groups_of_its_command(monkeypatch, tmp_path):
+    # groups and tables reference each other in cycles; a process that runs
+    # many commands must not keep the dead ones of earlier commands
+    built = []
+    for cls in (hw.PermGroup, hw.GroupTable):
+        original = cls.__init__
+
+        def recording(self, *args, _original=original, **kwargs):
+            built.append(weakref.ref(self))
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", recording)
+    assert main(["goursat", "h25", "--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+    assert built
+    alive = [r() for r in built if r() is not None]
+    assert alive == []
 
 
 def test_non_central_cover_diagnostic(tmp_path):

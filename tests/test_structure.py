@@ -183,6 +183,17 @@ def test_aut_s5_all_inner(s5):
     assert all(a.inner for a in aut.maps)
 
 
+def test_aut_verify_rejects_non_bijective_map(s5):
+    aut = hw.automorphism_group(s5)
+    assert aut.verify()
+    a = aut.maps[1]
+    fmap = a.element_map.copy()
+    fmap[1] = fmap[0]
+    bad = hw.Automorphism(s5, a.gen_images, fmap, a.inner)
+    with pytest.raises(hw.InputError, match="not a bijection"):
+        hw.AutGroup(s5, [bad], aut.class_action[1:2], aut.inner_count).verify()
+
+
 def test_aut_s6_outer(s6):
     aut = hw.automorphism_group(s6)
     assert len(aut.maps) == 1440
