@@ -24,9 +24,12 @@ import re
 
 import numpy as np
 
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, InternalCheckError
 
 DEFAULT_ELEMENT_CAP = 10**6
+# products looked up per gather while a GroupTable builds `mul`; at 2^16
+# the chunk's temporary arrays stay near 2 MiB
+_TABLE_CHUNK = 1 << 16
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -857,6 +860,44 @@ class PermGroup:
         return f"PermGroup({label})"
 
 
+class _BaseIndex:
+    """Element codes from images of a stabilizer-chain base.
+
+    A group element is determined by its images of a base B (Seress,
+    Permutation Group Algorithms, 4.1).  Level j maps (rank of a length-j
+    base-image prefix) * degree + (image of B[j]) to the rank of the
+    length-(j+1) prefix, or to -1 where no element has that prefix; the
+    ranks of full prefixes are then mapped to element codes.
+    """
+
+    def __init__(self, arr, base, degree):
+        self.degree = degree
+        rank = np.zeros(len(arr), dtype=np.int64)
+        count = 1
+        self.levels = []
+        for b in base:
+            keys, rank = np.unique(rank * degree + arr[:, b], return_inverse=True)
+            level = np.full(count * degree, -1, dtype=np.int64)
+            level[keys] = np.arange(len(keys))
+            self.levels.append(level)
+            count = len(keys)
+        if count != len(arr):
+            raise InternalCheckError("group elements do not have distinct base images")
+        self.code_of_rank = np.empty(len(arr), dtype=np.int64)
+        self.code_of_rank[rank] = np.arange(len(arr))
+
+    def codes(self, images):
+        """Codes of the elements whose base images are images[..., j], j < len(B)."""
+        rank = np.zeros(images.shape[:-1], dtype=np.int64)
+        for j, level in enumerate(self.levels):
+            rank *= self.degree
+            rank += images[..., j]
+            rank = level[rank]
+            if rank.min() < 0:
+                raise InternalCheckError("a group element is missing from the element list")
+        return self.code_of_rank[rank]
+
+
 class GroupTable:
     """Dense multiplication tables for a fully materialized group.
 
@@ -864,6 +905,14 @@ class GroupTable:
     `inv`, `order_of` and `class_id` are numpy arrays over these codes.
     The hot paths (tuple enumeration, canonicalization, braid moves) work
     on codes only.
+
+    A product or inverse is coded by its images of the chain base B: the
+    images of a*b at B are arr[b, arr[a, B]], and `_BaseIndex` turns them
+    into a code by len(B) integer gathers.  `mul` is built in row chunks of
+    about `_TABLE_CHUNK` products, so the build costs O(|G|^2 * |B|) gathers
+    and about 2 MiB beyond the table itself.  `order_of` comes from powering
+    every element at once through `mul`.  A product missing from the
+    element list raises InternalCheckError.
     """
 
     def __init__(self, group, cap=None):
@@ -875,18 +924,17 @@ class GroupTable:
         self.identity = self.code_of[tuple(range(group.degree))]
         dtype = np.uint16 if self.size < 65535 else np.uint32
         arr = np.ascontiguousarray(np.array([g.images for g in elems], dtype=dtype))
+        base = group.chain().base()
+        index = _BaseIndex(arr, base, group.degree)
         mul = np.empty((self.size, self.size), dtype=dtype)
-        lookup = {arr[i].tobytes(): i for i in range(self.size)}
-        # rows of arr[:, arr[a]] are the image tuples of a*b over all b
-        for a in range(self.size):
-            block = np.ascontiguousarray(arr[:, arr[a]])
-            mul[a] = [lookup[block[b].tobytes()] for b in range(self.size)]
+        rows = max(1, _TABLE_CHUNK // self.size)
+        for a0 in range(0, self.size, rows):
+            # block[b, a, j] is the image of base[j] under a*b
+            block = arr[:, arr[a0:a0 + rows][:, base]]
+            mul[a0:a0 + rows] = index.codes(block).T
         self.mul = mul
-        inv = np.empty(self.size, dtype=dtype)
-        for a in range(self.size):
-            inv[a] = self.code_of[elems[a].inverse().images]
-        self.inv = inv
-        self.order_of = np.array([g.order() for g in elems], dtype=np.int64)
+        self.inv = index.codes(np.argsort(arr, axis=1)[:, base]).astype(dtype)
+        self.order_of = self._orders()
         classes = group.conjugacy_classes(cap)
         self.classes = classes
         class_id = np.empty(self.size, dtype=np.int32)
@@ -895,6 +943,17 @@ class GroupTable:
                 class_id[self.code_of[g.images]] = ci
         self.class_id = class_id
         self._inner_maps = None
+
+    def _orders(self):
+        """Element orders, by x <- x*g from x = g until x is the identity."""
+        power = np.arange(self.size)
+        order = np.ones(self.size, dtype=np.int64)
+        live = np.nonzero(power != self.identity)[0]
+        while live.size:
+            power[live] = self.mul[power[live], live]
+            order[live] += 1
+            live = live[power[live] != self.identity]
+        return order
 
     def code(self, perm):
         try:

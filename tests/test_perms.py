@@ -341,6 +341,88 @@ def test_closure_codes_matches_bfs_oracle(name, request):
     assert len(table.closure_codes([table.code(g) for g in table.group.generators])) == table.size
 
 
+# ---------------------------------------------------------------------------
+# GroupTable against the element-by-element build
+
+
+def _table_oracle(group):
+    """mul, inv, order_of, class_id and identity by dict lookups of image bytes."""
+    elems = group.elements()
+    size = len(elems)
+    code_of = {g.images: i for i, g in enumerate(elems)}
+    dtype = np.uint16 if size < 65535 else np.uint32
+    arr = np.ascontiguousarray(np.array([g.images for g in elems], dtype=dtype))
+    lookup = {arr[i].tobytes(): i for i in range(size)}
+    mul = np.empty((size, size), dtype=dtype)
+    for a in range(size):
+        # rows of arr[:, arr[a]] are the image tuples of a*b over all b
+        block = np.ascontiguousarray(arr[:, arr[a]])
+        mul[a] = [lookup[block[b].tobytes()] for b in range(size)]
+    inv = np.array([code_of[g.inverse().images] for g in elems], dtype=dtype)
+    order_of = np.array([g.order() for g in elems], dtype=np.int64)
+    class_id = np.empty(size, dtype=np.int32)
+    for ci, c in enumerate(group.conjugacy_classes()):
+        for g in c.elements:
+            class_id[code_of[g.images]] = ci
+    return {
+        "mul": mul,
+        "inv": inv,
+        "order_of": order_of,
+        "class_id": class_id,
+        "identity": code_of[tuple(range(group.degree))],
+    }
+
+
+def assert_table_matches_oracle(group):
+    table = hw.GroupTable(group)
+    expected = _table_oracle(group)
+    assert table.identity == expected.pop("identity")
+    for name, want in expected.items():
+        got = getattr(table, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("name", ["a5", "s4", "s5", "s6", "pgl27"])
+def test_group_table_matches_oracle_on_bundled_groups(name, request):
+    assert_table_matches_oracle(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("name", ["ext_2s5", "ext_2s5_alt", "ext_sl25", "ext_2pgl27", "ext_2s6"])
+def test_group_table_matches_oracle_on_bundled_covers(name, request):
+    assert_table_matches_oracle(request.getfixturevalue(name).cover_group)
+
+
+def test_group_table_matches_oracle_on_random_groups():
+    rng = random.Random(29)
+    checked = 0
+    while checked < 50:
+        degree = rng.randint(1, 8)
+        G = PermGroup(degree, [random_perm(rng, degree) for _ in range(rng.randint(1, 3))])
+        if G.order() > 2000:
+            continue
+        assert_table_matches_oracle(G)
+        checked += 1
+
+
+@pytest.mark.parametrize(
+    "group",
+    [PermGroup.trivial(1), PermGroup.trivial(3), PermGroup.symmetric(1), PermGroup.symmetric(2)],
+    ids=["trivial1", "trivial3", "S1", "S2"],
+)
+def test_group_table_with_empty_or_short_base(group):
+    # the trivial groups have an empty chain base, so every gather has no levels
+    assert_table_matches_oracle(group)
+
+
+def test_group_table_missing_element_is_internal_error():
+    G = PermGroup.symmetric(4)
+    elems = G.elements()
+    G._elements = tuple(g for g in elems if g != elems[5])
+    with pytest.raises(hw.InternalCheckError):
+        hw.GroupTable(G)
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(hw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
