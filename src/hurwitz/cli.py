@@ -361,7 +361,7 @@ def build_parser():
 
     def common(p, cover=True):
         p.add_argument("--budget-tuples", type=int, default=DEFAULT_TUPLE_BUDGET,
-                       help="enumeration budget in DFS prefix visits (default 1e8)")
+                       help="enumeration budget in tuple prefix visits (default 1e8)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
         p.add_argument("--out", default=None, help="write the JSON report to this file")

@@ -34,12 +34,12 @@ from .nielsen import (
     braid_nu_generators,
     enumerate_tuples,
     induced_permutation_array,
-    _dfs_enumerate,
+    _enumerate_codes,
     _class_code_arrays,
     key_positions,
     row_keys,
 )
-from .perms import PermGroup, Permutation, orbit_partition
+from .perms import PermGroup, Permutation, SubgroupCloser, orbit_partition
 
 
 @dataclass
@@ -540,8 +540,9 @@ def cross_check_braid_orbits(h, budget=None):
     counts = {ci: v for ci, v in enumerate(h.nu)}
     all_rows = []
     counter = {"visits": 0}
+    closer = SubgroupCloser(table)
     for assign in _assignments(counts):
-        rows = _dfs_enumerate(table, list(assign), class_codes, budget, counter)
+        rows = _enumerate_codes(table, list(assign), class_codes, budget, counter, closer)
         all_rows.append(rows)
     superset = np.concatenate(all_rows, axis=0)
     n = h.n

@@ -13,6 +13,13 @@ structure is generated by the interior sigma_i together with the band
 generators A_ij = (sigma_{j-1}..sigma_{i+1}) sigma_i^2
 (sigma_{i+1}^-1..sigma_{j-1}^-1).
 
+Tuples are enumerated level by level over numpy code arrays: the prefixes
+of the first n-2 positions grow one position at a time across the whole
+frontier, pruned by reachable-product masks and by a SubgroupCloser (whose
+memo stores each closure <H, c> for the whole double coset HcH), and the
+last two positions come from joining the leaves with the (a, b) pairs of
+the last two classes sorted by product a*b.
+
 Fibers are tuple sets modulo Inn(G) or Aut(G, C), represented by canonical
 (lexicographically least) orbit representatives.  Hot paths run on numpy
 code arrays; tuples are exposed as objects at the API boundary.
@@ -28,6 +35,9 @@ from .errors import BudgetError, InputError, InternalCheckError
 from .perms import ConjugacyClass, Permutation, SubgroupCloser
 
 DEFAULT_TUPLE_BUDGET = 10**8
+# candidates expanded per gather during enumeration, so a level's temporary
+# arrays stay a few MiB however many tuples the parameter has
+_LEVEL_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +74,7 @@ class HurwitzParameter:
         return spans
 
     def search_size_estimate(self):
-        """prod |C_i|^nu_i / |C_last|, the DFS prefix count before pruning."""
+        """prod |C_i|^nu_i / |C_last|, the prefix count before pruning."""
         est = 1
         for c, count in zip(self.classes, self.nu):
             est *= c.size**count
@@ -234,6 +244,8 @@ class NielsenTupleSet:
         self.table = h.group.table()
         self.codes = codes
         self.visits = visits
+        # (rows, keys) of the inn fiber once build_fiber has computed it
+        self.inn_points = None
 
     def __len__(self):
         return len(self.codes)
@@ -261,21 +273,48 @@ def _class_code_arrays(table, classes):
     return out
 
 
-def _dfs_enumerate(table, pos_class, class_codes, budget, counter, closer=None):
+def _count_visits(counter, visits, budget):
+    counter["visits"] += visits
+    if counter["visits"] > budget:
+        # the visit that crossed the budget is the last one counted
+        counter["visits"] = budget + 1
+        raise BudgetError(
+            "tuple enumeration budget exhausted",
+            consumed=counter["visits"],
+            budget=budget,
+        )
+
+
+def _per_subgroup(sids, test):
+    """test(sid) for every entry of an int64 array of subgroup ids, once per id."""
+    present = np.flatnonzero(np.bincount(sids))
+    verdict = np.zeros(len(present) and present[-1] + 1, dtype=bool)
+    verdict[present] = [test(s) for s in present.tolist()]
+    return verdict[sids]
+
+
+def _enumerate_codes(table, pos_class, class_codes, budget, counter, closer):
     """Tuples with prescribed class per position, product one, generating.
 
-    DFS over the first n-2 positions with reachable-product masks for
-    pruning; the last two entries come from a precomputed pair table keyed
-    by the needed completion product.  Generation is tracked by memoized
-    incremental subgroup closure.  Returns an (N, n) int64 array.
+    The prefixes of the first n-2 positions are expanded one position at a
+    time over the whole frontier, in chunks of about `_LEVEL_CHUNK`
+    candidates.  A candidate survives when the remaining positions can
+    still complete its product to one (the reachable-product masks) and
+    when the remaining classes can still complete its subgroup to the whole
+    group (`closer`, called once per distinct (subgroup, code) pair and
+    once per distinct new subgroup).  Each surviving prefix and the root
+    count as one visit in `counter`; BudgetError is raised as soon as the
+    count exceeds the budget.  The last two positions come from a join of
+    the leaves with a table of (a, b) pairs sorted by product a*b, and a
+    leaf whose subgroup H is not yet the group needs only <H, a>, since
+    prefix*a*b = 1 puts b in it.  Returns the rows in lexicographic order,
+    as an (N, n) int64 array.
     """
     n = len(pos_class)
     mul, inv = table.mul, table.inv
     m = table.size
     if n == 1:
         return np.empty((0, 1), dtype=np.int64)
-    if closer is None:
-        closer = SubgroupCloser(table)
 
     # reachable[k][x]: x is a product of one element from each position k..n-1
     reachable = [None] * (n + 1)
@@ -289,76 +328,73 @@ def _dfs_enumerate(table, pos_class, class_codes, budget, counter, closer=None):
         mask[np.unique(prods)] = True
         reachable[k] = mask
 
-    # pair table for the last two positions: product -> (a values, b values)
-    ca = class_codes[pos_class[n - 2]]
-    cb = class_codes[pos_class[n - 1]]
-    pair_map = {}
-    for a in ca:
-        prods = mul[int(a), cb]
-        for b, p in zip(cb, prods):
-            pair_map.setdefault(int(p), ([], []))
-            pa, pb = pair_map[int(p)]
-            pa.append(int(a))
-            pb.append(int(b))
-    pair_map = {
-        p: (np.array(pa, dtype=np.int64), np.array(pb, dtype=np.int64))
-        for p, (pa, pb) in pair_map.items()
-    }
-
     # SubgroupCloser speaks table class ids, not parameter class indices
     table_cid = [int(table.class_id[codes[0]]) for codes in class_codes]
     remaining_ids = [
         tuple(sorted({table_cid[ci] for ci in pos_class[k:]})) for k in range(n + 1)
     ]
-    rows = []
-    prefix = [0] * max(n - 2, 0)
 
-    def recurse(depth, prod, sid):
-        counter["visits"] += 1
-        if counter["visits"] > budget:
-            raise BudgetError(
-                "tuple enumeration budget exhausted",
-                consumed=counter["visits"],
-                budget=budget,
-            )
-        if depth == n - 2:
-            hit = pair_map.get(int(inv[prod]))
-            if hit is None:
-                return
-            pa, pb = hit
-            if closer.is_full(sid):
-                block = np.empty((len(pa), n), dtype=np.int64)
-                block[:, : n - 2] = prefix
-                block[:, n - 2] = pa
-                block[:, n - 1] = pb
-                rows.append(block)
-            else:
-                for a, b in zip(pa, pb):
-                    s2 = closer.extend(closer.extend(sid, int(a)), int(b))
-                    if closer.is_full(s2):
-                        rows.append(
-                            np.array(prefix[: n - 2] + [int(a), int(b)], dtype=np.int64)[
-                                None, :
-                            ]
-                        )
-            return
-        target_mask = reachable[depth + 1]
-        for c in class_codes[pos_class[depth]]:
-            new_prod = int(mul[prod, c])
-            if not target_mask[int(inv[new_prod])]:
-                continue
-            s2 = closer.extend(sid, int(c))
-            if not closer.is_full(s2) and not closer.can_reach_full(
-                s2, remaining_ids[depth + 1]
-            ):
-                continue
-            prefix[depth] = int(c)
-            recurse(depth + 1, new_prod, s2)
+    _count_visits(counter, 1, budget)
+    prefix = np.empty((1, 0), dtype=np.int64)
+    prod = np.array([table.identity], dtype=np.int64)
+    sid = np.array([closer.trivial_id], dtype=np.int64)
+    for depth in range(n - 2):
+        if not len(prod):
+            break
+        cand = class_codes[pos_class[depth]]
+        target = reachable[depth + 1]
+        remaining = remaining_ids[depth + 1]
 
-    recurse(0, table.identity, closer.trivial_id)
-    if not rows:
+        def alive(s):
+            return closer.is_full(s) or closer.can_reach_full(s, remaining)
+
+        step = max(1, _LEVEL_CHUNK // len(cand))
+        parts = []
+        for lo in range(0, len(prod), step):
+            new_prod = mul[prod[lo : lo + step, None], cand]
+            row, col = np.nonzero(target[inv[new_prod]])
+            new_sid = closer.extend_pairs(sid[lo + row], cand[col])
+            keep = _per_subgroup(new_sid, alive)
+            row, col = row[keep], col[keep]
+            _count_visits(counter, len(row), budget)
+            parts.append((lo + row, cand[col], new_prod[row, col], new_sid[keep]))
+        parent, code, prod, sid = (np.concatenate(x) for x in zip(*parts))
+        prefix = np.column_stack([prefix[parent], code])
+        prod = prod.astype(np.int64)
+
+    # (a, b) pairs of the last two positions, sorted by a*b, with CSR offsets
+    ca = class_codes[pos_class[n - 2]]
+    cb = class_codes[pos_class[n - 1]]
+    pair_prod = mul[ca[:, None], cb].ravel()
+    by_prod = np.argsort(pair_prod, kind="stable")
+    pair_a = np.repeat(ca, len(cb))[by_prod]
+    pair_b = np.tile(cb, len(ca))[by_prod]
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(np.bincount(pair_prod, minlength=m))
+    need = inv[prod].astype(np.int64)
+    first = offsets[need]
+    count = offsets[need + 1] - first
+    full_leaf = _per_subgroup(sid, closer.is_full)
+    blocks = []
+    # a leaf has at most one pair per a, so a chunk holds at most step * |ca|
+    step = max(1, _LEVEL_CHUNK // len(ca))
+    for lo in range(0, len(prod), step):
+        c = count[lo : lo + step]
+        leaf = np.repeat(np.arange(lo, lo + len(c)), c)
+        pair = np.repeat(first[lo : lo + step] - (np.cumsum(c) - c), c) + np.arange(len(leaf))
+        a = pair_a[pair]
+        keep = full_leaf[leaf]
+        grow = np.flatnonzero(~keep)
+        keep[grow] = _per_subgroup(closer.extend_pairs(sid[leaf[grow]], a[grow]), closer.is_full)
+        leaf, pair = leaf[keep], pair[keep]
+        block = np.empty((len(leaf), n), dtype=np.int64)
+        block[:, : n - 2] = prefix[leaf]
+        block[:, n - 2] = a[keep]
+        block[:, n - 1] = pair_b[pair]
+        blocks.append(block)
+    if not blocks:
         return np.empty((0, n), dtype=np.int64)
-    return np.concatenate([r for r in rows], axis=0)
+    return np.concatenate(blocks, axis=0)
 
 
 def _sorted_block_arrangement(h):
@@ -420,12 +456,18 @@ def _unsort_blocks(table, codes, h, order, script):
 
 
 def enumerate_tuples(h, budget=None, return_visits=False):
-    """The exact tuple set of a parameter, by pruned DFS.
+    """The exact tuple set of a parameter, by pruned level-wise enumeration.
 
     Blocks are enumerated in increasing class-size order (so the forced
     completion runs over the largest class) and the results are mapped back
-    to the original block order through the block-swap bijection.  Raises
-    BudgetError when the configured prefix-visit budget is exhausted.
+    to the original block order through the block-swap bijection.  Prefixes
+    are expanded one position at a time in bounded chunks; the last two
+    positions are a join with the (a, b) pairs sorted by product, and
+    generation is tracked by a SubgroupCloser whose closures are memoized
+    per double coset.  `visits` counts the root and every prefix that
+    survives both prunes.  Raises BudgetError when the configured
+    prefix-visit budget is exhausted, with `consumed` one more than the
+    budget.
     """
     budget = DEFAULT_TUPLE_BUDGET if budget is None else budget
     if h.search_size_estimate() > budget:
@@ -441,7 +483,7 @@ def enumerate_tuples(h, budget=None, return_visits=False):
         pos_class.extend([i] * h.nu[i])
     class_codes = _class_code_arrays(table, h.classes)
     counter = {"visits": 0}
-    codes = _dfs_enumerate(table, pos_class, class_codes, budget, counter)
+    codes = _enumerate_codes(table, pos_class, class_codes, budget, counter, SubgroupCloser(table))
     codes = _unsort_blocks(table, codes, h, order, script)
     if len(codes):
         codes = codes[np.argsort(row_keys(codes, table.size), kind="stable")]
@@ -558,19 +600,38 @@ def acting_maps(h, mode):
     raise InputError(f"unknown fiber mode {mode!r}; expected 'inn' or 'aut'")
 
 
+def _same_row_set(a, b, m):
+    """True when two (k, m) map arrays hold the same rows, as sets."""
+    return np.array_equal(np.unique(row_keys(a, m)), np.unique(row_keys(b, m)))
+
+
 def build_fiber(h, mode="aut", tuples=None, budget=None):
-    """Canonicalize, deduplicate, sort and index the tuple set of h."""
+    """Canonicalize, deduplicate, sort and index the tuple set of h.
+
+    When the acting maps are the inner maps as a set (Aut(G, C) = Inn(G) in
+    mode "aut"), the points are those of the inn fiber: the first such fiber
+    built on a tuple set keeps its rows and keys on it, and later ones reuse
+    them instead of canonicalizing every tuple again.
+    """
     if tuples is None:
         tuples = enumerate_tuples(h, budget=budget)
+    table = h.group.table()
     maps = acting_maps(h, mode)
-    rows, keys = canonicalize_codes(tuples.codes, maps, h.group.table().size)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    # gather the kept rows once: a sorted copy of all rows would double the peak
-    keep = order[first]
-    return Fiber(h, mode, rows[keep], keys[keep], maps, len(tuples))
+    inner = mode == "inn" or _same_row_set(maps, table.inner_maps(), table.size)
+    if inner and tuples.inn_points is not None:
+        rows, keys = tuples.inn_points
+    else:
+        rows, keys = canonicalize_codes(tuples.codes, maps, table.size)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        # gather the kept rows once: a sorted copy of all rows would double the peak
+        keep = order[first]
+        rows, keys = rows[keep], keys[keep]
+        if inner:
+            tuples.inn_points = rows, keys
+    return Fiber(h, mode, rows, keys, maps, len(tuples))
 
 
 def _apply_letter_codes(codes, letter, table):

@@ -923,7 +923,9 @@ class GroupTable:
         self.code_of = {g.images: i for i, g in enumerate(elems)}
         self.identity = self.code_of[tuple(range(group.degree))]
         dtype = np.uint16 if self.size < 65535 else np.uint32
-        arr = np.ascontiguousarray(np.array([g.images for g in elems], dtype=dtype))
+        # images run up to degree - 1, which the code dtype need not hold
+        image_dtype = np.uint16 if group.degree <= 65536 else np.uint32
+        arr = np.ascontiguousarray(np.array([g.images for g in elems], dtype=image_dtype))
         base = group.chain().base()
         index = _BaseIndex(arr, base, group.degree)
         mul = np.empty((self.size, self.size), dtype=dtype)
@@ -981,12 +983,16 @@ class GroupTable:
 
 
 class SubgroupCloser:
-    """Interned subgroup closures over a GroupTable, memoized for DFS reuse.
+    """Interned subgroup closures over a GroupTable, memoized for enumeration.
 
     Subgroups appear as small integer ids; `extend(id, code)` returns the id
-    of the subgroup generated by the old one and one more element.  The
-    number of distinct subgroups of the desk-scale groups involved is tiny,
-    so the memo tables stay small while the DFS calls them millions of times.
+    of the subgroup generated by the old one and one more element, and
+    `extend_pairs` does the same for arrays of (id, code) pairs, one
+    `extend` per distinct pair.  A computed closure <H, c> is stored for
+    every c' in the double coset HcH, since <H, h c h'> = <H, c>, so one
+    closure serves up to |H|^2 codes.  The number of distinct subgroups of
+    the desk-scale groups involved is tiny, so the memo tables stay small
+    while enumeration asks for millions of extensions.
     """
 
     def __init__(self, table):
@@ -994,6 +1000,7 @@ class SubgroupCloser:
         trivial = (table.identity,)
         self._ids = {trivial: 0}
         self._sets = [frozenset(trivial)]
+        self._codes = [np.array(trivial, dtype=np.int64)]
         self._orders = [1]
         self._extend_memo = {}
         self._reach_memo = {}
@@ -1022,9 +1029,20 @@ class SubgroupCloser:
             new_id = len(self._sets)
             self._ids[closed] = new_id
             self._sets.append(frozenset(closed))
+            self._codes.append(np.array(closed, dtype=np.int64))
             self._orders.append(len(closed))
-        self._extend_memo[key] = new_id
+        h = self._codes[sid]
+        mul = self.table.mul
+        for c in np.unique(mul[np.ix_(mul[h, int(code)], h)]).tolist():
+            self._extend_memo[(sid, c)] = new_id
         return new_id
+
+    def extend_pairs(self, sids, codes):
+        """extend(sids[i], codes[i]) for every i, as an int64 array."""
+        m = self.table.size
+        keys, inverse = np.unique(np.asarray(sids, dtype=np.int64) * m + codes, return_inverse=True)
+        ids = [self.extend(k // m, k % m) for k in keys.tolist()]
+        return np.array(ids, dtype=np.int64)[inverse]
 
     def can_reach_full(self, sid, remaining_class_ids):
         """True if adding every element of the listed classes can reach the group."""

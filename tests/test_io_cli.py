@@ -221,6 +221,63 @@ def test_cli_fiber_wide_tuples(tmp_path):
     assert r["tuple_count"] == r["fiber_inn"] == r["fiber_aut"] == 1
 
 
+_PGL27_22 = {
+    "group": "PGL27",
+    "classes": [{"cycle_type": [2, 2, 2, 1, 1]}, {"cycle_type": [3, 3, 1, 1]}],
+    "nu": [2, 2],
+}
+
+
+def test_cli_reports_pin_tuple_visits(tmp_path):
+    # the prefix visits the recursive DFS made; nothing else checks these bytes
+    param = tmp_path / "pgl27_22.json"
+    param.write_text(json.dumps(_PGL27_22))
+    for argv, visits in (
+        (["fiber", "h25"], 761),
+        (["fiber", str(param)], 813),
+        (["conway-parker", "a5_c3_n6", "--cover", "SL25"], 168421),
+    ):
+        code, report = run_cli(argv, tmp_path)
+        assert code == cli.EXIT_OK
+        assert report["budget"]["tuple_visits"] == visits
+
+
+def test_cli_budget_exhausted_during_enumeration(tmp_path):
+    # C2 with nu = (64): search estimate 1, 63 prefix visits, so the budget
+    # runs out inside the enumeration and not at the estimate
+    (tmp_path / "c2.json").write_text(
+        json.dumps({"name": "C2", "degree": 2, "generators": ["(1 2)"]})
+    )
+    param = tmp_path / "c2_64.json"
+    param.write_text(json.dumps({"group": "c2.json", "classes": ["(1 2)"], "nu": [64]}))
+    code, report = run_cli(["fiber", str(param), "--budget-tuples", "62"], tmp_path)
+    assert code == cli.EXIT_BUDGET
+    assert report["budget"] == {"consumed": 63, "budget": 62}
+    code, report = run_cli(["fiber", str(param), "--budget-tuples", "63"], tmp_path)
+    assert code == cli.EXIT_OK
+    assert report["budget"]["tuple_visits"] == 63
+
+
+@pytest.mark.parametrize("name, calls", [("pgl27_22", 1), ("h25", 1), ("a5_c3_n4", 2)])
+def test_cli_fiber_reuses_inn_points_when_aut_is_inner(name, calls, tmp_path, monkeypatch):
+    # Aut(G, C) acts by inner maps only for pgl27_22 and h25, so the aut fiber
+    # takes the inn fiber's points; Aut(A5, 3-cycles) = S5 needs its own pass
+    from hurwitz import nielsen
+
+    counted = []
+    canonicalize = nielsen.canonicalize_codes
+    monkeypatch.setattr(
+        nielsen, "canonicalize_codes", lambda *a, **k: counted.append(1) or canonicalize(*a, **k)
+    )
+    param = name
+    if name == "pgl27_22":
+        param = str(tmp_path / "pgl27_22.json")
+        Path(param).write_text(json.dumps(_PGL27_22))
+    code, report = run_cli(["fiber", param], tmp_path)
+    assert code == cli.EXIT_OK
+    assert len(counted) == calls
+
+
 def test_cli_internal_check_exit_4(tmp_path, monkeypatch):
     def broken(args):
         raise hw.InternalCheckError("self-check failed")

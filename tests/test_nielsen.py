@@ -13,7 +13,15 @@ from hurwitz import (
     apply_sigma,
     braid_nu_generators,
 )
-from hurwitz.nielsen import canonicalize_codes, induced_permutation_array, row_keys
+from hurwitz.nielsen import (
+    _class_code_arrays,
+    _enumerate_codes,
+    _sorted_block_arrangement,
+    canonicalize_codes,
+    induced_permutation_array,
+    row_keys,
+)
+from hurwitz.perms import SubgroupCloser
 
 from conftest import class_by_type
 
@@ -117,6 +125,186 @@ def test_block_reordering_round_trip():
             assert t.product().is_identity()
             for j, g in enumerate(t):
                 assert g in classes[pos[j]]
+
+
+def _dfs_oracle(table, pos_class, class_codes, budget, counter):
+    """The recursive DFS that `_enumerate_codes` replaced, kept as its oracle.
+
+    One recursion per surviving prefix of the first n-2 positions, the same
+    two prunes, each visit counted before its budget check, and a dict of
+    Python lists for the last two positions.
+    """
+    n = len(pos_class)
+    mul, inv = table.mul, table.inv
+    m = table.size
+    if n == 1:
+        return np.empty((0, 1), dtype=np.int64)
+    closer = SubgroupCloser(table)
+    reachable = [None] * (n + 1)
+    mask = np.zeros(m, dtype=bool)
+    mask[table.identity] = True
+    reachable[n] = mask
+    for k in range(n - 1, -1, -1):
+        prev = np.nonzero(reachable[k + 1])[0]
+        mask = np.zeros(m, dtype=bool)
+        mask[np.unique(mul[np.ix_(class_codes[pos_class[k]], prev)])] = True
+        reachable[k] = mask
+    pair_map = {}
+    for a in class_codes[pos_class[n - 2]]:
+        for b in class_codes[pos_class[n - 1]]:
+            pair_map.setdefault(int(mul[a, b]), []).append((int(a), int(b)))
+    table_cid = [int(table.class_id[codes[0]]) for codes in class_codes]
+    remaining_ids = [tuple(sorted({table_cid[ci] for ci in pos_class[k:]})) for k in range(n + 1)]
+    rows = []
+    prefix = [0] * (n - 2)
+
+    def recurse(depth, prod, sid):
+        counter["visits"] += 1
+        if counter["visits"] > budget:
+            raise hw.BudgetError("budget", consumed=counter["visits"], budget=budget)
+        if depth == n - 2:
+            pairs = pair_map.get(int(inv[prod]), [])
+            if pairs and closer.is_full(sid):
+                block = np.empty((len(pairs), n), dtype=np.int64)
+                block[:, : n - 2] = prefix
+                block[:, n - 2 :] = pairs
+                rows.append(block)
+                return
+            for a, b in pairs:
+                if closer.is_full(closer.extend(closer.extend(sid, a), b)):
+                    rows.append(np.array([prefix + [a, b]], dtype=np.int64))
+            return
+        for c in class_codes[pos_class[depth]]:
+            new_prod = int(mul[prod, c])
+            if not reachable[depth + 1][int(inv[new_prod])]:
+                continue
+            s2 = closer.extend(sid, int(c))
+            if not closer.is_full(s2) and not closer.can_reach_full(s2, remaining_ids[depth + 1]):
+                continue
+            prefix[depth] = int(c)
+            recurse(depth + 1, new_prod, s2)
+
+    recurse(0, table.identity, closer.trivial_id)
+    return np.concatenate(rows) if rows else np.empty((0, n), dtype=np.int64)
+
+
+def _sorted_rows(codes):
+    return codes[np.argsort(row_keys(codes, 1 << 17), kind="stable")]
+
+
+def _position_classes(h):
+    order, _ = _sorted_block_arrangement(h)
+    return [i for i in order for _ in range(h.nu[i])]
+
+
+def _assert_matches_dfs_oracle(table, pos_class, class_codes):
+    """Same rows and visits as the oracle; returns (rows, visits)."""
+    want_counter = {"visits": 0}
+    want = _dfs_oracle(table, pos_class, class_codes, 10**9, want_counter)
+    counter = {"visits": 0}
+    got = _enumerate_codes(table, pos_class, class_codes, 10**9, counter, SubgroupCloser(table))
+    assert got.dtype == np.int64 and got.shape == (len(want), len(pos_class))
+    assert np.array_equal(_sorted_rows(got), _sorted_rows(want))
+    assert counter == want_counter
+    return got, counter["visits"]
+
+
+# bundled parameters plus the generated ones the benchmark runs, with the
+# prefix visits the recursive DFS made on them
+_ORACLE_CASES = {
+    "a5_c3_n4": ("A5", [(3, 1, 1)], [4], 421),
+    "a5_c3_n5": ("A5", [(3, 1, 1)], [5], 8421),
+    "a5_c3_n6": ("A5", [(3, 1, 1)], [6], 168421),
+    "h25": ("S5", [(2, 1, 1, 1), (5,)], [4, 1], 761),
+    "s5_212": ("S5", [(2, 1, 1, 1), (3, 1, 1), (5,)], [2, 1, 2], 2111),
+    "s5_221": ("S5", [(2, 1, 1, 1), (3, 1, 1), (5,)], [2, 2, 1], 2051),
+    "s5_mix": ("S5", [(2, 1, 1, 1), (2, 2, 1), (5,)], [2, 2, 1], 1581),
+    "s4_42": ("S4", [(2, 1, 1), (4,)], [4, 2], 1555),
+    "pgl27_22": ("PGL27", [(2, 2, 2, 1, 1), (3, 3, 1, 1)], [2, 2], 813),
+    "s6_41": ("S6", [(4, 1, 1), (4, 2)], [2, 1], 91),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+def test_enumerate_codes_matches_dfs_oracle(name, request):
+    group_name, types, nu, visits = _ORACLE_CASES[name]
+    G = request.getfixturevalue(group_name.lower())
+    h = hw.validate_parameter(G, [class_by_type(G, t) for t in types], nu)
+    table = G.table()
+    _, got_visits = _assert_matches_dfs_oracle(table, _position_classes(h), _class_code_arrays(table, h.classes))
+    assert got_visits == visits
+    if name == "a5_c3_n6":
+        # the two parameters of criterion 5 also go through enumerate_tuples
+        assert hw.enumerate_tuples(h).visits == visits
+
+
+def test_enumerate_codes_matches_dfs_oracle_on_random_words(s4, s5, a5, pgl27):
+    # class words read off random tuples with product one, so that tuples
+    # exist; arbitrary words as the braid cross-check enumerates them, some
+    # of whose leaves reach the group only through their last two entries
+    rng = random.Random(41)
+    checked = proper_prefix_rows = 0
+    for trial in range(80):
+        G = (s4, s5, a5, pgl27)[trial % 4]
+        table = G.table()
+        n = rng.randint(2, 6)
+        codes = [rng.randrange(table.size) for _ in range(n - 1)]
+        last = table.identity
+        for c in codes:
+            last = int(table.mul[last, c])
+        codes.append(int(table.inv[last]))
+        if table.identity in codes:
+            continue
+        cids = [int(table.class_id[c]) for c in codes]
+        chosen = sorted(set(cids))
+        pos_class = [chosen.index(cid) for cid in cids]
+        classes = [table.classes[cid] for cid in chosen]
+        estimate = 1
+        for ci in pos_class[:-1]:
+            estimate *= classes[ci].size
+        if estimate > 200_000:
+            continue
+        rows, _ = _assert_matches_dfs_oracle(table, pos_class, _class_code_arrays(table, classes))
+        checked += 1
+        for row in rows[:50] if n >= 4 else []:
+            if len(table.closure_codes(row[: n - 2].tolist() + [table.identity])) < table.size:
+                proper_prefix_rows += 1
+    assert checked >= 40 and proper_prefix_rows > 0
+
+
+def test_enumerate_codes_budget_edge(s5, a5, pgl27):
+    for G, types, nu in (
+        (a5, [(3, 1, 1)], [5]),
+        (s5, [(2, 1, 1, 1), (5,)], [4, 1]),
+        (pgl27, [(2, 2, 2, 1, 1), (3, 3, 1, 1)], [2, 2]),
+    ):
+        h = hw.validate_parameter(G, [class_by_type(G, t) for t in types], nu)
+        table = G.table()
+        args = (table, _position_classes(h), _class_code_arrays(table, h.classes))
+        _, visits = _assert_matches_dfs_oracle(*args)
+        counter = {"visits": 0}
+        with pytest.raises(hw.BudgetError) as info:
+            _enumerate_codes(*args, visits - 1, counter, SubgroupCloser(table))
+        assert (info.value.consumed, info.value.budget) == (visits, visits - 1)
+        assert counter["visits"] == visits
+        counter = {"visits": 0}
+        _enumerate_codes(*args, visits, counter, SubgroupCloser(table))
+        assert counter["visits"] == visits
+        # a budget crossed inside a level: consumed is still budget + 1
+        with pytest.raises(hw.BudgetError) as info:
+            _enumerate_codes(*args, visits // 2, {"visits": 0}, SubgroupCloser(table))
+        assert info.value.consumed == visits // 2 + 1
+        # a running count shared by several calls, as in the braid cross-check
+        counter = {"visits": 5}
+        closer = SubgroupCloser(table)
+        _enumerate_codes(*args, visits + 5, counter, closer)
+        with pytest.raises(hw.BudgetError) as info:
+            _enumerate_codes(*args, 2 * visits + 4, counter, closer)
+        assert info.value.consumed == 2 * visits + 5
+        # the root visit alone exceeds a zero budget
+        with pytest.raises(hw.BudgetError) as info:
+            _enumerate_codes(*args, 0, {"visits": 0}, SubgroupCloser(table))
+        assert info.value.consumed == 1
 
 
 def test_budget_pre_check(a5, a5_c3):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import hurwitz as hw
 from hurwitz import PermGroup, Permutation, StabilizerChain, conjugate, orbit_partition
+from hurwitz.perms import SubgroupCloser
 
 from conftest import class_by_type
 
@@ -431,3 +432,48 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_group_table_images_beyond_code_dtype():
+    # three elements get uint16 codes, while their images reach point 65537
+    images = list(range(70000))
+    images[0], images[1], images[65537] = 1, 65537, 0
+    table = PermGroup(70000, [Permutation(images)]).table()
+    assert table.size == 3
+    assert sorted(table.order_of.tolist()) == [1, 3, 3]
+
+
+# ---------------------------------------------------------------------------
+# SubgroupCloser
+
+
+@pytest.mark.parametrize("name", ["s5", "pgl27"])
+def test_subgroup_closer_double_coset_memo(name, request, monkeypatch):
+    # one closure <H, c> answers extend(H, c') for every c' in HcH
+    table = request.getfixturevalue(name).table()
+    mul = table.mul
+    calls = []
+    closure_codes = hw.GroupTable.closure_codes
+    monkeypatch.setattr(
+        hw.GroupTable, "closure_codes", lambda self, codes: calls.append(1) or closure_codes(self, codes)
+    )
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(25):
+        closer = SubgroupCloser(table)
+        sid = closer.trivial_id
+        for g in rng.sample(range(table.size), rng.randint(0, 2)):
+            sid = closer.extend(sid, g)
+        h = tuple(sorted(closer._sets[sid]))
+        c = rng.randrange(table.size)
+        coset = {int(mul[mul[a, c], b]) for a in h for b in h}
+        calls.clear()
+        first = closer.extend(sid, c)
+        assert len(calls) <= 1
+        for c2 in sorted(coset):
+            got = closer.extend(sid, c2)
+            assert got == first
+            assert tuple(sorted(closer._sets[got])) == closure_codes(table, list(h) + [c2])
+        assert len(calls) <= 1
+        checked += len(coset) > 1
+    assert checked > 10
