@@ -20,7 +20,7 @@ h = hw.validate_parameter(S5, [c2, c5], [4, 1])
 fiber = hw.build_fiber(h, "aut")
 pts = fiber.points()
 
-power = hw.fiber_power_group(S5, 2)
+power = hw.FiberPowerGroup(S5, 2)
 print(f"fiber square of S5: order {power.order} on {power.realized.degree} points")
 
 # the preconditions (pseudosimple group, classes safe) are checked once here

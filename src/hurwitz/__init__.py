@@ -24,7 +24,6 @@ from .perms import (
     PermGroup,
     Permutation,
     StabilizerChain,
-    conjugate,
     format_cycles,
     orbit_partition,
     parse_cycles,
@@ -67,7 +66,6 @@ from .covers import (
     condition_e,
     condition_e_by_kinds,
     lifting_invariant,
-    load_extension,
     obstruction_subgroups,
     out_action_on_labels,
     reduce_cover,
@@ -86,6 +84,6 @@ from .monodromy import (
     monodromy_group,
     quasi_fullness,
 )
-from .fiberpower import FiberPowerGroup, fiber_power_group, row_span_check, row_span_checker
+from .fiberpower import FiberPowerGroup, row_span_check, row_span_checker
 
 __version__ = "0.1.0"

@@ -44,8 +44,8 @@ from .structure import _hom_closure, is_ambiguous, is_pseudosimple
 
 
 def _commutator(mul, inv, a, b):
-    """Code of a^-1 b^-1 a b in a dense multiplication table."""
-    return int(mul[mul[inv[a], inv[b]], mul[a, b]])
+    """Code(s) of a^-1 b^-1 a b in a dense multiplication table; b may be an array."""
+    return mul[mul[inv[a], inv[b]], mul[a, b]]
 
 
 def _derived_gen_codes(mul, inv, identity, group_gens):
@@ -54,7 +54,7 @@ def _derived_gen_codes(mul, inv, identity, group_gens):
     comms = set()
     for a in group_gens:
         for b in group_gens:
-            c = _commutator(mul, inv, a, b)
+            c = int(_commutator(mul, inv, a, b))
             if c != identity:
                 comms.add(c)
     gens = sorted(comms)
@@ -131,7 +131,7 @@ class CentralExtension:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def from_generators(cls, cover_gens, image_gens, base_group, name=None, cap=None):
+    def from_generators(cls, cover_gens, image_gens, base_group, name=None):
         """Build and verify an extension from matched generator lists."""
         if len(cover_gens) != len(image_gens):
             raise InputError("cover and image generator lists have different lengths")
@@ -159,7 +159,7 @@ class CentralExtension:
             ct.inv,
             ct.identity,
             proj,
-            [ct.code(g) for g in cover.generators],
+            ct.gen_codes,
             ct.perm,
             name=name,
         )
@@ -207,16 +207,17 @@ class CentralExtension:
         return KernelSubgroup(codes, tuple(self.element(c) for c in codes))
 
     def lift_code(self, base_code):
-        """Code of the lexicographically least preimage of a base element."""
+        """Code of the lexicographically least preimage of a base element;
+        an array of base codes gives an array of lifts."""
         if self._lift is None:
-            lift = np.full(self.base_group.order(), -1, dtype=np.int64)
-            for c in range(self.size - 1, -1, -1):
-                lift[int(self.proj[c])] = c
-            self._lift = lift
-        return int(self._lift[int(base_code)])
+            # proj is onto (verified), so the first index of each base code
+            # is its least preimage
+            _, self._lift = np.unique(self.proj, return_index=True)
+        return self._lift[base_code]
 
     def lift_commutator(self, x, y):
-        """Code of [x~, y~] for the least lifts of base codes x and y."""
+        """Code of [x~, y~] for the least lifts of base codes x and y; y may
+        be an array of base codes."""
         return _commutator(self.mul, self.inv, self.lift_code(x), self.lift_code(y))
 
     def preimage_codes(self, base_codes):
@@ -229,11 +230,6 @@ class CentralExtension:
             f"CentralExtension({label} -> {self.base_group!r},"
             f" |Z|={len(self.kernel_codes)})"
         )
-
-
-def load_extension(cover_gens, image_gens, base_group, name=None):
-    """Verified extension from generator data; see CentralExtension."""
-    return CentralExtension.from_generators(cover_gens, image_gens, base_group, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +248,19 @@ def commutator_pairing(ext, x, y):
     return ext.element(comm)
 
 
+def _pairings(ext, g):
+    """Codes z of the centralizer of the base code g, and the kernel codes <g, z>."""
+    zs = ext.base_group.table().centralizer_codes(g)
+    return zs, ext.lift_commutator(g, zs)
+
+
 def _pairing_codes(ext, class_rep_code, derived_only):
     """Kernel codes <g, z> for one class representative over its centralizer."""
-    bt = ext.base_group.table()
-    g = int(class_rep_code)
-    col = bt.mul[:, g]
-    row = bt.mul[g, :]
-    zs = np.nonzero(col == row)[0]
+    zs, comms = _pairings(ext, int(class_rep_code))
     if derived_only:
-        derived = ext.base_group.derived_subgroup()
-        dcodes = {bt.code(d) for d in derived.elements()}
-        zs = [z for z in zs if int(z) in dcodes]
-    return {ext.lift_commutator(g, int(z)) for z in zs}
+        # the derived subgroup is the identity coset of G'
+        comms = comms[ext.base_group.abelianization().labels[zs] == 0]
+    return set(comms.tolist())
 
 
 def obstruction_subgroups(ext, classes):
@@ -315,18 +312,9 @@ def reduce_cover(ext, classes):
 
 def _central_quotient(ext, h_codes):
     """Quotient extension cover/H for a central subgroup H given by codes."""
-    hset = sorted(set(int(c) for c in h_codes))
-    size = ext.size
-    coset_of = np.full(size, -1, dtype=np.int64)
-    reps = []
-    for c in range(size):
-        if coset_of[c] != -1:
-            continue
-        cid = len(reps)
-        reps.append(c)
-        for h in hset:
-            coset_of[int(ext.mul[c, h])] = cid
-    reps = np.array(reps, dtype=np.int64)
+    # row c of mul over the codes of H is the coset cH; its least code names it
+    reps, coset_of = np.unique(ext.mul[:, sorted(set(h_codes))].min(axis=1), return_inverse=True)
+    reps = reps.astype(np.int64)
     q_size = len(reps)
     q_mul = coset_of[ext.mul[np.ix_(reps, reps)]]
     q_identity = int(coset_of[ext.identity])
@@ -371,9 +359,9 @@ class ClassKind:
 
 def _preimage_counts(ext, conj_class):
     """(cover classes, cover-derived orbits) above a base class."""
-    bt = ext.base_group.table()
-    class_codes = [bt.code(g) for g in conj_class.elements]
-    pre = ext.preimage_codes(class_codes)
+    if conj_class.group is not ext.base_group:
+        raise InputError("class does not belong to the extension's base group")
+    pre = ext.preimage_codes(conj_class.codes)
     classes = _conj_partition(ext.mul, ext.inv, pre, ext.gen_codes)
     derived_gens, _ = ext._derived_data()
     derived_orbits = _conj_partition(ext.mul, ext.inv, pre, derived_gens)
@@ -408,10 +396,9 @@ def _surjection_splits(base):
         return True
     if len(ab.invariant_factors()) > 1:
         return False
-    for g in base.elements():
-        if g.order() == k and ab.element_order(ab.label(g)) == k:
-            return True
-    return False
+    label_orders = np.array([ab.element_order(a) for a in range(k)])
+    generates = label_orders[ab.labels] == k
+    return bool((generates & (base.table().order_of == k)).any())
 
 
 def classify_class(ext, conj_class):
@@ -496,7 +483,7 @@ def condition_e(ext, classes):
     full, primed = obstruction_subgroups(ext, classes)
     if full.codes == primed.codes:
         return ConditionEResult(True, full.order, primed.order)
-    witness = _find_witness(ext, classes, set(primed.codes))
+    witness = _find_witness(ext, classes, primed.codes)
     return ConditionEResult(False, full.order, primed.order, witness)
 
 
@@ -504,12 +491,11 @@ def _find_witness(ext, classes, primed_codes):
     bt = ext.base_group.table()
     for i, c in enumerate(classes):
         g = bt.code(c.representative)
-        col = bt.mul[:, g]
-        row = bt.mul[g, :]
-        for z in np.nonzero(col == row)[0]:
-            comm = ext.lift_commutator(g, int(z))
-            if comm not in primed_codes:
-                return (i, bt.perm(g), bt.perm(int(z)), ext.element(comm))
+        zs, comms = _pairings(ext, g)
+        outside = np.nonzero(~np.isin(comms, primed_codes))[0]
+        if outside.size:
+            j = outside[0]
+            return (i, bt.perm(g), bt.perm(zs[j]), ext.element(comms[j]))
     raise InternalCheckError("subgroups differ but no witness pairing found")
 
 
@@ -562,7 +548,7 @@ class LiftData:
             for part in _conj_partition(
                 ext.mul,
                 ext.inv,
-                ext.preimage_codes([bt.code(g) for g in c.elements]),
+                ext.preimage_codes(c.codes),
                 ext.gen_codes,
             ):
                 if least in part:

@@ -89,10 +89,6 @@ class FiberPowerGroup:
         return f"FiberPowerGroup({self.base!r}, k={self.k}, order={self.order})"
 
 
-def fiber_power_group(base, k):
-    return FiberPowerGroup(base, k)
-
-
 def _classes_safe_for_row_span(h):
     """The distinctness criterion needs unambiguous classes, unless every
     automorphism over the abelianization already fixes each class (then the

@@ -127,19 +127,20 @@ def resolve_group(ref, relative_to=None):
 
 def select_class(group, selector, pointer):
     """One conjugacy class from an explicit representative or a filter object."""
-    classes = group.conjugacy_classes()
     if isinstance(selector, (str, list)):
         rep = parse_permutation(selector, group.degree, pointer)
-        for c in classes:
-            if rep in c:
-                return c
-        raise InputError("representative does not belong to the group", pointer=pointer)
+        try:
+            return group.class_of(rep)
+        except InputError:
+            raise InputError(
+                "representative does not belong to the group", pointer=pointer
+            ) from None
     if isinstance(selector, dict):
         if not ({"order", "cycle_type"} & set(selector)):
             raise InputError(
                 "class selector needs 'order' and/or 'cycle_type'", pointer=pointer
             )
-        matches = list(classes)
+        matches = list(group.conjugacy_classes())
         if "order" in selector:
             matches = [c for c in matches if c.order() == selector["order"]]
         if "cycle_type" in selector:

@@ -41,6 +41,9 @@ from .nielsen import (
 )
 from .perms import PermGroup, Permutation, SubgroupCloser, orbit_partition
 
+# generator products fullness_by_jordan_witness examines before giving up
+_JORDAN_WORD_BUDGET = 4000
+
 
 @dataclass
 class OrbitPartition:
@@ -223,13 +226,14 @@ def _is_transitive(perms, size):
     return len(orbit_partition(step, [0])[0]) == size
 
 
-def fullness_by_jordan_witness(perms, size, word_budget=4000, primitive=None):
+def fullness_by_jordan_witness(perms, size, primitive=None):
     """Fullness by transitivity, primitivity and a prime-cycle witness.
 
     Searches deterministic products of the generators for an element some
     power of which is a single p-cycle, p prime <= size - 3; inside a
     primitive group such an element forces the alternating group (Jordan).
-    Returns True/False when conclusive, None when no witness was found.
+    Returns True/False when conclusive, None when none of the first
+    `_JORDAN_WORD_BUDGET` products is a witness.
     `primitive` is `_block_system(perms, size) is None` when the caller has
     already computed it; otherwise it is computed here.
     """
@@ -245,7 +249,7 @@ def fullness_by_jordan_witness(perms, size, word_budget=4000, primitive=None):
     frontier = [Permutation.identity(size)]
     seen = {frontier[0].images}
     count = 0
-    while frontier and count < word_budget:
+    while frontier and count < _JORDAN_WORD_BUDGET:
         new = []
         for x in frontier:
             for g in perms:
@@ -263,9 +267,9 @@ def fullness_by_jordan_witness(perms, size, word_budget=4000, primitive=None):
                         if [c for c in (y**power).cycle_type() if c > 1] == [p]:
                             return True
                 new.append(y)
-                if count >= word_budget:
+                if count >= _JORDAN_WORD_BUDGET:
                     break
-            if count >= word_budget:
+            if count >= _JORDAN_WORD_BUDGET:
                 break
         frontier = new
     return None

@@ -38,6 +38,8 @@ DEFAULT_TUPLE_BUDGET = 10**8
 # candidates expanded per gather during enumeration, so a level's temporary
 # arrays stay a few MiB however many tuples the parameter has
 _LEVEL_CHUNK = 1 << 16
+# rows canonicalized per block, for the same reason
+_CANON_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +457,7 @@ def _unsort_blocks(table, codes, h, order, script):
     return codes
 
 
-def enumerate_tuples(h, budget=None, return_visits=False):
+def enumerate_tuples(h, budget=None):
     """The exact tuple set of a parameter, by pruned level-wise enumeration.
 
     Blocks are enumerated in increasing class-size order (so the forced
@@ -487,10 +489,7 @@ def enumerate_tuples(h, budget=None, return_visits=False):
     codes = _unsort_blocks(table, codes, h, order, script)
     if len(codes):
         codes = codes[np.argsort(row_keys(codes, table.size), kind="stable")]
-    result = NielsenTupleSet(h, codes, counter["visits"])
-    if return_visits:
-        return result, counter["visits"]
-    return result
+    return NielsenTupleSet(h, codes, counter["visits"])
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +517,7 @@ def key_positions(sorted_keys, keys):
     return pos
 
 
-def canonicalize_codes(codes, maps, m, chunk=1 << 16):
+def canonicalize_codes(codes, maps, m):
     """Lexicographic minimum of each row over the acting relabeling maps.
 
     `maps` is an (A, m) array of element relabelings (inner or full
@@ -526,9 +525,9 @@ def canonicalize_codes(codes, maps, m, chunk=1 << 16):
     m)); exact, the keys being the rows' big-endian bytes.
     """
     out_rows = np.empty(codes.shape, dtype=np.int64)
-    for lo in range(0, len(codes), chunk):
+    for lo in range(0, len(codes), _CANON_CHUNK):
         # columns as rows: each tuple position is one contiguous array
-        block = np.ascontiguousarray(codes[lo : lo + chunk].T)
+        block = np.ascontiguousarray(codes[lo : lo + _CANON_CHUNK].T)
         best = maps[0][block]
         for amap in maps[1:]:
             mapped = amap[block]
@@ -538,7 +537,7 @@ def canonicalize_codes(codes, maps, m, chunk=1 << 16):
                 less |= tied & (x < y)
                 tied &= x == y
             best[:, less] = mapped[:, less]
-        out_rows[lo : lo + chunk] = best.T
+        out_rows[lo : lo + _CANON_CHUNK] = best.T
     return out_rows, row_keys(out_rows, m)
 
 

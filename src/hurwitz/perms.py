@@ -6,15 +6,19 @@ Conventions used throughout the package:
   and converted on parse/format,
 * products compose left to right: ``x^(p*q) = (x^p)^q``, so
   ``(p * q).images[x] == q.images[p.images[x]]``,
-* ``conjugate(g, h) == h.inverse() * g * h``, i.e. relabeling of g's cycles
-  by h,
+* ``g.conjugate_by(h) == h.inverse() * g * h``, i.e. relabeling of g's
+  cycles by h,
 * permutations compare lexicographically on their image arrays, and every
   derived ordering (elements, classes, orbits) comes from that order.
 
-Groups are backed by a deterministic Schreier-Sims stabilizer chain; element
-materialization, conjugacy classes and centralizers use exhaustive methods
-behind a configurable cap, which is the right trade-off for the group sizes
-this package targets (|G| <= a few thousand).
+Groups are backed by a deterministic Schreier-Sims stabilizer chain for
+orders and membership.  Everything else is read off a dense code table
+(`GroupTable`) over the fully materialized element list: conjugacy classes
+are orbits of conjugation by the generators, centralizers and the center
+are comparisons of table columns with rows, and the cosets of the derived
+subgroup are orbits of right multiplication by its generators.  A table
+holds |G|^2 codes, which is the right trade-off for the group sizes this
+package targets (|G| <= a few thousand); element materialization is capped.
 """
 
 from __future__ import annotations
@@ -199,11 +203,6 @@ class Permutation:
 
     def __str__(self):
         return format_cycles(self.images)
-
-
-def conjugate(g, h):
-    """h^-1 * g * h for Permutations of equal degree."""
-    return g.conjugate_by(h)
 
 
 def _compose(p, q):
@@ -421,13 +420,15 @@ class StabilizerChain:
 
 
 class ConjugacyClass:
-    """A conjugacy class with its fully materialized, sorted element list."""
+    """A conjugacy class with its sorted codes and materialized element list."""
 
-    __slots__ = ("group", "representative", "elements", "size")
+    __slots__ = ("group", "codes", "representative", "elements", "size")
 
-    def __init__(self, group, elements):
+    def __init__(self, group, codes):
         self.group = group
-        self.elements = tuple(sorted(elements))
+        self.codes = codes
+        elements = group.elements()
+        self.elements = tuple(elements[c] for c in codes.tolist())
         self.representative = self.elements[0]
         self.size = len(self.elements)
 
@@ -438,7 +439,9 @@ class ConjugacyClass:
         return self.representative.cycle_type()
 
     def __contains__(self, perm):
-        return perm in set(self.elements)
+        table = self.group.table()
+        code = table.code_of.get(perm.images)
+        return code is not None and table.class_id[code] == table.class_id[self.codes[0]]
 
     def __eq__(self, other):
         return (
@@ -461,41 +464,27 @@ class AbelianQuotient:
     """G/G' as an explicit finite abelian group with a coset labeling G -> G/G'.
 
     Cosets are numbered 0..k-1 with 0 the identity coset; numbering follows
-    the lexicographically least element of each coset.
+    the lexicographically least element of each coset.  `labels` holds the
+    coset number of every element code of the group's table.
     """
 
     def __init__(self, group):
         self.group = group
-        derived = group.derived_subgroup()
-        dset = set(derived.elements())
-        label_of = {}
-        coset_min = []
-        for g in group.elements():
-            if g in label_of:
-                continue
-            members = sorted(g * d for d in dset)
-            idx = len(coset_min)
-            coset_min.append(members[0])
-            for m in members:
-                label_of[m] = idx
-        # renumber so that coset 0 is the identity coset and the rest sort
-        # by minimal representative
-        ident_idx = label_of[Permutation.identity(group.degree)]
-        order = sorted(range(len(coset_min)), key=lambda i: (i != ident_idx, coset_min[i]))
-        renum = {old: new for new, old in enumerate(order)}
-        self._label_of = {g: renum[i] for g, i in label_of.items()}
-        self.reps = [coset_min[i] for i in order]
+        table = group.table()
+        derived = [table.code(g) for g in group.derived_subgroup().generators]
+        # the cosets x G' are the orbits of x -> x d; the identity's code 0 is
+        # the least code, so its coset is numbered 0
+        cosets = orbit_partition(table.mul[:, derived].T)
+        self.labels = np.empty(table.size, dtype=np.int64)
+        for i, coset in enumerate(cosets):
+            self.labels[coset] = i
+        rep_codes = [int(coset[0]) for coset in cosets]
+        self.reps = [table.elements[c] for c in rep_codes]
         self.size = len(self.reps)
-        self._mul = [
-            [self._label_of[self.reps[a] * self.reps[b]] for b in range(self.size)]
-            for a in range(self.size)
-        ]
+        self._mul = self.labels[table.mul[np.ix_(rep_codes, rep_codes)]].tolist()
 
     def label(self, perm):
-        try:
-            return self._label_of[perm]
-        except KeyError:
-            raise InputError("element does not belong to the group") from None
+        return int(self.labels[self.group.table().code(perm)])
 
     def class_label(self, conj_class):
         # conjugate elements share a coset of G', so any representative works
@@ -658,7 +647,6 @@ class PermGroup:
         self.name = name
         self._chain = None
         self._elements = None
-        self._classes = None
         self._derived = None
         self._center = None
         self._abelianization = None
@@ -758,52 +746,28 @@ class PermGroup:
             self._elements = tuple(out)
         return self._elements
 
-    def conjugacy_classes(self, cap=None):
+    def conjugacy_classes(self):
         """Conjugacy classes, sorted by (element order, size, least rep)."""
-        if self._classes is None:
-            elems = self.elements(cap)
-            index = {g.images: i for i, g in enumerate(elems)}
-            assigned = [False] * len(elems)
-            classes = []
-            for i, g in enumerate(elems):
-                if assigned[i]:
-                    continue
-                orbit = [g]
-                assigned[i] = True
-                qi = 0
-                while qi < len(orbit):
-                    x = orbit[qi]
-                    qi += 1
-                    for h in self.generators:
-                        y = x.conjugate_by(h)
-                        j = index[y.images]
-                        if not assigned[j]:
-                            assigned[j] = True
-                            orbit.append(y)
-                classes.append(ConjugacyClass(self, orbit))
-            classes.sort(key=lambda c: (c.order(), c.size, c.representative.images))
-            self._classes = tuple(classes)
-        return self._classes
+        return self.table().classes
 
     def class_of(self, perm):
-        for c in self.conjugacy_classes():
-            if perm in c:
-                return c
-        raise InputError("element does not belong to the group")
+        table = self.table()
+        return table.classes[table.class_id[table.code(perm)]]
 
     def centralizer(self, perm):
-        """Z(g) as a PermGroup, by exhaustive filtering."""
+        """Z(g) as a PermGroup generated by all of its elements."""
         if perm not in self:
             raise InputError("centralizer argument must be a group element")
-        members = [x for x in self.elements() if x * perm == perm * x]
-        return self.subgroup(members, name="centralizer")
+        table = self.table()
+        members = table.centralizer_codes(table.code(perm))
+        return self.subgroup([table.elements[z] for z in members], name="centralizer")
 
     def center(self):
         if self._center is None:
-            members = [
-                x for x in self.elements() if all(x * g == g * x for g in self.generators)
-            ]
-            self._center = self.subgroup(members, name="center")
+            table = self.table()
+            gens = table.gen_codes
+            members = np.nonzero((table.mul[:, gens] == table.mul[gens].T).all(axis=1))[0]
+            self._center = self.subgroup([table.elements[z] for z in members], name="center")
         return self._center
 
     def derived_subgroup(self):
@@ -901,10 +865,10 @@ class _BaseIndex:
 class GroupTable:
     """Dense multiplication tables for a fully materialized group.
 
-    Elements are coded by their index in the sorted element list; `mul`,
-    `inv`, `order_of` and `class_id` are numpy arrays over these codes.
-    The hot paths (tuple enumeration, canonicalization, braid moves) work
-    on codes only.
+    Elements are coded by their index in the sorted element list, so the
+    identity's code is 0; `mul`, `inv`, `order_of` and `class_id` are numpy
+    arrays over these codes.  The hot paths (tuple enumeration,
+    canonicalization, braid moves) work on codes only.
 
     A product or inverse is coded by its images of the chain base B: the
     images of a*b at B are arr[b, arr[a, B]], and `_BaseIndex` turns them
@@ -912,16 +876,19 @@ class GroupTable:
     about `_TABLE_CHUNK` products, so the build costs O(|G|^2 * |B|) gathers
     and about 2 MiB beyond the table itself.  `order_of` comes from powering
     every element at once through `mul`.  A product missing from the
-    element list raises InternalCheckError.
+    element list raises InternalCheckError.  The conjugacy classes are the
+    orbits of conjugation by the generators, sorted by (element order, size,
+    least code); the least code is the lexicographically least element.
     """
 
-    def __init__(self, group, cap=None):
-        elems = group.elements(cap)
+    def __init__(self, group):
+        elems = group.elements()
         self.group = group
         self.elements = elems
         self.size = len(elems)
         self.code_of = {g.images: i for i, g in enumerate(elems)}
         self.identity = self.code_of[tuple(range(group.degree))]
+        self.gen_codes = [self.code_of[g.images] for g in group.generators]
         dtype = np.uint16 if self.size < 65535 else np.uint32
         # images run up to degree - 1, which the code dtype need not hold
         image_dtype = np.uint16 if group.degree <= 65536 else np.uint32
@@ -937,13 +904,12 @@ class GroupTable:
         self.mul = mul
         self.inv = index.codes(np.argsort(arr, axis=1)[:, base]).astype(dtype)
         self.order_of = self._orders()
-        classes = group.conjugacy_classes(cap)
-        self.classes = classes
-        class_id = np.empty(self.size, dtype=np.int32)
-        for ci, c in enumerate(classes):
-            for g in c.elements:
-                class_id[self.code_of[g.images]] = ci
-        self.class_id = class_id
+        orbits = orbit_partition(conjugation_maps(mul, self.inv, self.gen_codes))
+        orbits.sort(key=lambda orbit: (self.order_of[orbit[0]], len(orbit), orbit[0]))
+        self.classes = tuple(ConjugacyClass(group, orbit) for orbit in orbits)
+        self.class_id = np.empty(self.size, dtype=np.int32)
+        for ci, orbit in enumerate(orbits):
+            self.class_id[orbit] = ci
         self._inner_maps = None
 
     def _orders(self):
@@ -969,13 +935,12 @@ class GroupTable:
     def inner_maps(self):
         """Element relabeling x -> x^z for every z, as an (m, m) array."""
         if self._inner_maps is None:
-            m = self.size
-            maps = np.empty((m, m), dtype=self.mul.dtype)
-            for z in range(m):
-                maps[z] = self.mul[self.mul[int(self.inv[z])], z]
-            # row z column x: (z^-1 * x) * z
-            self._inner_maps = maps
+            self._inner_maps = conjugation_maps(self.mul, self.inv, np.arange(self.size))
         return self._inner_maps
+
+    def centralizer_codes(self, code):
+        """Sorted codes of the elements commuting with the element `code`."""
+        return np.nonzero(self.mul[:, code] == self.mul[code])[0]
 
     def closure_codes(self, codes):
         """Subgroup generated by the given codes, as a sorted tuple of codes."""

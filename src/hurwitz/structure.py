@@ -33,17 +33,15 @@ def derived_orbit_count(group, conj_class):
     """Number of derived-subgroup conjugation orbits on the class."""
     table = group.table()
     derived_codes = [table.code(g) for g in group.derived_subgroup().generators]
-    class_codes = [table.code(g) for g in conj_class.elements]
     step = conjugation_maps(table.mul, table.inv, derived_codes)
-    return len(orbit_partition(step, class_codes))
+    return len(orbit_partition(step, conj_class.codes))
 
 
 def centralizer_covers_abelianization(group, conj_class):
     """Equivalent reading of unambiguity: Z(g) surjects onto G^ab."""
     ab = group.abelianization()
-    z = group.centralizer(conj_class.representative)
-    labels = {ab.label(x) for x in z.elements()}
-    return len(labels) == ab.size
+    z = group.table().centralizer_codes(conj_class.codes[0])
+    return np.unique(ab.labels[z]).size == ab.size
 
 
 def is_rational_class(group, conj_class):
@@ -106,7 +104,8 @@ def is_pseudosimple(group):
         if c.representative.is_identity():
             continue
         n = derived.normal_closure([c.representative])
-        closures.append(n)
+        # the derived group itself, so that its elements and table are reused
+        closures.append(derived if n.order() == dorder else n)
     minimal = []
     for n in closures:
         if any(
@@ -322,7 +321,7 @@ def _word_order(table, codes, word):
     return int(table.order_of[acc])
 
 
-def isomorphisms(source, target, find_all=True, cap=None):
+def isomorphisms(source, target, find_all=True):
     """Backtracking search for isomorphisms source -> target.
 
     Candidate images are constrained to classes with matching element order
@@ -341,10 +340,10 @@ def isomorphisms(source, target, find_all=True, cap=None):
     for g in gens:
         key = (g.order(), source.class_of(g).size)
         pool = [
-            tt.code(x)
+            x
             for c in target.conjugacy_classes()
             if (c.order(), c.size) == key
-            for x in c.elements
+            for x in c.codes.tolist()
         ]
         if not pool:
             return []
@@ -392,19 +391,19 @@ def find_isomorphism(source, target):
     return {ts.perm(i): tt.perm(int(fmap[i])) for i in range(ts.size)}
 
 
-def automorphism_group(group, cap=None):
+def automorphism_group(group):
     """Aut(G) by backtracking; cached on the group object."""
     if group._aut is not None:
         return group._aut
     table = group.table()
-    maps = isomorphisms(group, group, find_all=True, cap=cap)
+    maps = isomorphisms(group, group, find_all=True)
     inner = {table.inner_maps()[z].astype(np.int64).tobytes() for z in range(table.size)}
     classes = group.conjugacy_classes()
     rep_codes = [table.code(c.representative) for c in classes]
     auts = []
     class_actions = []
     for fmap in sorted(maps, key=lambda f: f.tobytes()):
-        gen_images = [table.perm(int(fmap[table.code(g)])) for g in group.generators]
+        gen_images = [table.perm(int(fmap[c])) for c in table.gen_codes]
         is_inner = fmap.astype(np.int64).tobytes() in inner
         auts.append(Automorphism(group, gen_images, fmap, is_inner))
         class_actions.append(

@@ -41,7 +41,7 @@ def test_bundled_covers_valid(ext_2s5, ext_2s6, ext_sl25, ext_2pgl27):
 
 
 def test_identity_cover(s5):
-    ext = hw.load_extension(list(s5.generators), list(s5.generators), s5)
+    ext = hw.CentralExtension.from_generators(list(s5.generators), list(s5.generators), s5)
     assert ext.kernel_order() == 1
 
 
@@ -58,7 +58,7 @@ def test_non_central_kernel_rejected():
     images = [Permutation.from_cycles("(1 2)", 2), Permutation.identity(2)]
     gens = [Permutation.from_cycles("(1 2)", 3), Permutation.from_cycles("(1 2 3)", 3)]
     with pytest.raises(hw.InputError, match="kernel not central"):
-        hw.load_extension(gens, images, C2)
+        hw.CentralExtension.from_generators(gens, images, C2)
 
 
 def test_stem_violation_rejected():
@@ -75,7 +75,7 @@ def test_stem_violation_rejected():
         Permutation.identity(3),
     ]
     with pytest.raises(hw.InputError, match="stem condition"):
-        hw.load_extension(gens, images, S3)
+        hw.CentralExtension.from_generators(gens, images, S3)
 
 
 def test_non_homomorphism_rejected(s5):
@@ -83,7 +83,7 @@ def test_non_homomorphism_rejected(s5):
     gens = [Permutation.from_cycles("(1 2)", 5), Permutation.from_cycles("(1 2 3 4 5)", 5)]
     images = [Permutation.from_cycles("(1 2 3)", 5), Permutation.from_cycles("(1 2 3 4 5)", 5)]
     with pytest.raises(hw.InputError, match="homomorphism"):
-        hw.load_extension(gens, images, s5)
+        hw.CentralExtension.from_generators(gens, images, s5)
 
 
 def test_conj_partition_rejects_a_subset_that_is_not_closed(s5):
@@ -99,11 +99,43 @@ def test_non_surjective_rejected(s5):
     gens = [Permutation.from_cycles("(1 2 3)", 5), Permutation.from_cycles("(3 4 5)", 5)]
     images = [Permutation.from_cycles("(1 2 3)", 5), Permutation.from_cycles("(3 4 5)", 5)]
     with pytest.raises(hw.InputError, match="surjective"):
-        hw.load_extension(gens, images, s5)
+        hw.CentralExtension.from_generators(gens, images, s5)
 
 
 # ---------------------------------------------------------------------------
 # the commutator pairing
+
+
+@pytest.mark.parametrize("name", ["ext_2s5", "ext_2s5_alt", "ext_sl25", "ext_2pgl27", "ext_2s6"])
+def test_lift_code_is_the_least_preimage(name, request):
+    ext = request.getfixturevalue(name)
+    least = {}
+    for c in range(ext.size - 1, -1, -1):
+        least[int(ext.proj[c])] = c
+    expected = [least[b] for b in range(ext.base_group.order())]
+    assert [ext.lift_code(b) for b in range(len(expected))] == expected
+    assert ext.lift_code(np.arange(len(expected))).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["s4", "s5", "s6", "a5", "pgl27", "ext_2s5", "ext_2s5_alt", "ext_sl25", "ext_2pgl27", "ext_2s6"],
+)
+def test_surjection_splits_matches_loop_oracle(name, request):
+    from hurwitz.covers import _surjection_splits
+
+    G = request.getfixturevalue(name)
+    G = getattr(G, "cover_group", G)
+    ab = G.abelianization()
+    k = ab.size
+    expected = k == 1 or len(ab.invariant_factors()) == 1 and any(
+        g.order() == k and ab.element_order(ab.label(g)) == k for g in G.elements()
+    )
+    assert _surjection_splits(G) == expected
+    if name == "ext_2s5_alt":
+        # the unique involution of this realization is central, so no odd
+        # element has order 2
+        assert not expected
 
 
 def test_pairing_with_identity_is_trivial(ext_2s5):
@@ -232,7 +264,7 @@ def test_reduce_sl25_split_no_reduction(ext_sl25, a5_c3):
 
 
 def test_reduce_trivial_kernel_unchanged(s5):
-    ext = hw.load_extension(list(s5.generators), list(s5.generators), s5)
+    ext = hw.CentralExtension.from_generators(list(s5.generators), list(s5.generators), s5)
     c = class_by_type(s5, (2, 1, 1, 1))
     assert reduce_cover(ext, [c]) is ext
 
@@ -343,6 +375,16 @@ def test_condition_e_s6_fail_and_hold(ext_2s6, s6):
     _, primed = obstruction_subgroups(ext_2s6, [c42, c33])
     assert not value.is_identity()
     assert commutator_pairing(ext_2s6, g, z) == value
+    # it is the first such pairing, with classes in list order and z in element order
+    bt = s6.table()
+    first = next(
+        (i, x)
+        for i, c in enumerate([c42, c33])
+        for x in s6.elements()
+        if x * c.representative == c.representative * x
+        and ext_2s6.lift_commutator(bt.code(c.representative), bt.code(x)) not in primed.codes
+    )
+    assert (ci, z) == first
     res_hold = condition_e(ext_2s6, [c42, c21111])
     assert res_hold.holds
 
@@ -369,7 +411,7 @@ def test_condition_e_rejects_ambiguous(ext_2s5, s5):
 
 
 def test_condition_e_rejects_non_pseudosimple(s4):
-    ext = hw.load_extension(list(s4.generators), list(s4.generators), s4)
+    ext = hw.CentralExtension.from_generators(list(s4.generators), list(s4.generators), s4)
     c = class_by_type(s4, (2, 1, 1))
     with pytest.raises(hw.UnsupportedConfigurationError, match="pseudosimple"):
         condition_e(ext, [c])

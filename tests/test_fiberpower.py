@@ -5,7 +5,7 @@ import random
 import pytest
 
 import hurwitz as hw
-from hurwitz import PermGroup, Permutation, fiber_power_group, row_span_check, row_span_checker
+from hurwitz import FiberPowerGroup, PermGroup, Permutation, row_span_check, row_span_checker
 from hurwitz import cli, covers, fiberpower, structure
 
 from conftest import class_by_type
@@ -15,27 +15,27 @@ def test_order_formula(s5, s6, pgl27):
     for G in (s5, s6, pgl27):
         derived = G.derived_subgroup().order()
         for k in (1, 2, 3):
-            fp = fiber_power_group(G, k)
+            fp = FiberPowerGroup(G, k)
             assert fp.order == G.order() * derived ** (k - 1)
 
 
 def test_s5_squared_order(s5):
-    assert fiber_power_group(s5, 2).order == 7200
+    assert FiberPowerGroup(s5, 2).order == 7200
 
 
 def test_a5_power_is_direct_product(a5):
-    fp = fiber_power_group(a5, 2)
+    fp = FiberPowerGroup(a5, 2)
     assert fp.order == 3600
 
 
 def test_k1_is_the_group(s5):
-    fp = fiber_power_group(s5, 1)
+    fp = FiberPowerGroup(s5, 1)
     assert fp.order == 120
     assert fp.realized.degree == 5
 
 
 def test_embed_tuple_checks_abelianization(s5):
-    fp = fiber_power_group(s5, 2)
+    fp = FiberPowerGroup(s5, 2)
     odd = Permutation.from_cycles("(1 2)", 5)
     even = Permutation.from_cycles("(1 2 3)", 5)
     with pytest.raises(hw.InputError):
@@ -128,4 +128,4 @@ def test_row_span_allows_s5_ambiguous_class(h25, h25_data):
 def test_fiber_power_requires_centerless():
     C4 = PermGroup.from_cycles(4, ["(1 2 3 4)"])
     with pytest.raises(hw.InputError):
-        fiber_power_group(C4, 2)
+        FiberPowerGroup(C4, 2)

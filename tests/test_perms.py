@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hurwitz as hw
-from hurwitz import PermGroup, Permutation, StabilizerChain, conjugate, orbit_partition
+from hurwitz import PermGroup, Permutation, StabilizerChain, orbit_partition
 from hurwitz.perms import SubgroupCloser
 
 from conftest import class_by_type
@@ -36,31 +36,31 @@ def random_perm(rng, degree):
 def test_conjugate_simple():
     g = Permutation.from_cycles("(1 2)", 3)
     h = Permutation.from_cycles("(2 3)", 3)
-    assert str(conjugate(g, h)) == "(1 3)"
+    assert str(g.conjugate_by(h)) == "(1 3)"
 
 
 def test_conjugate_identity():
     g = Permutation.from_cycles("(1 2 3)", 5)
-    assert conjugate(g, Permutation.identity(5)) == g
+    assert g.conjugate_by(Permutation.identity(5)) == g
 
 
 def test_conjugate_five_cycle_by_transposition():
     # hand multiplication of (1 2)^-1 (1 2 3 4 5) (1 2) gives (1 3 4 5 2)
     g = Permutation.from_cycles("(1 2 3 4 5)", 5)
     h = Permutation.from_cycles("(1 2)", 5)
-    assert str(conjugate(g, h)) == "(1 3 4 5 2)"
+    assert str(g.conjugate_by(h)) == "(1 3 4 5 2)"
 
 
 def test_conjugate_degree_mismatch():
     with pytest.raises(hw.InputError):
-        conjugate(Permutation.identity(3), Permutation.identity(4))
+        Permutation.identity(3).conjugate_by(Permutation.identity(4))
 
 
 def test_conjugation_is_an_action():
     rng = random.Random(11)
     for _ in range(200):
         g, h, k = (random_perm(rng, 6) for _ in range(3))
-        assert conjugate(conjugate(g, h), k) == conjugate(g, h * k)
+        assert g.conjugate_by(h).conjugate_by(k) == g.conjugate_by(h * k)
 
 
 @given(st.permutations(list(range(7))))
@@ -343,7 +343,81 @@ def test_closure_codes_matches_bfs_oracle(name, request):
 
 
 # ---------------------------------------------------------------------------
-# GroupTable against the element-by-element build
+# GroupTable, classes, centralizers and G/G' against the element-by-element
+# loops they replaced
+
+
+def _classes_oracle(group):
+    """Classes by a BFS of Permutation conjugations, sorted like the table's."""
+    elems = group.elements()
+    index = {g.images: i for i, g in enumerate(elems)}
+    assigned = [False] * len(elems)
+    classes = []
+    for i, g in enumerate(elems):
+        if assigned[i]:
+            continue
+        orbit = [g]
+        assigned[i] = True
+        qi = 0
+        while qi < len(orbit):
+            x = orbit[qi]
+            qi += 1
+            for h in group.generators:
+                y = x.conjugate_by(h)
+                j = index[y.images]
+                if not assigned[j]:
+                    assigned[j] = True
+                    orbit.append(y)
+        classes.append(tuple(sorted(orbit)))
+    classes.sort(key=lambda c: (c[0].order(), len(c), c[0].images))
+    return classes
+
+
+def _abelian_quotient_oracle(group):
+    """(label of each element, coset representatives, multiplication) of G/G'."""
+    dset = set(group.derived_subgroup().elements())
+    label_of = {}
+    reps = []
+    for g in group.elements():
+        if g not in label_of:
+            members = sorted(g * d for d in dset)
+            reps.append(members[0])
+            for m in members:
+                label_of[m] = len(reps) - 1
+    assert reps[0].is_identity()
+    mul = [[label_of[a * b] for b in reps] for a in reps]
+    return label_of, reps, mul
+
+
+def assert_classes_match_oracle(group):
+    elems = group.elements()
+    classes = _classes_oracle(group)
+    computed = group.conjugacy_classes()
+    assert [c.elements for c in computed] == classes
+    assert [c.representative for c in computed] == [c[0] for c in classes]
+    assert [c.codes.tolist() for c in computed] == [
+        sorted(group.table().code(g) for g in c) for c in classes
+    ]
+    k = len(classes)
+    assert [[c[0] in d for d in computed] for c in classes] == [[i == j for j in range(k)] for i in range(k)]
+    class_of = {g: c for c in classes for g in c}
+    for g in elems:
+        assert group.class_of(g).elements == class_of[g]
+        # Z(g) has |G| / |class of g| elements, so a commuting set that large is all of it
+        members = sorted(group.centralizer(g).generators + (Permutation.identity(group.degree),))
+        assert len(members) * len(class_of[g]) == len(elems)
+        assert all(x * g == g * x for x in members)
+    for c in classes:
+        g = c[0]
+        oracle = [x for x in elems if x * g == g * x]
+        assert sorted(group.centralizer(g).generators) == [x for x in oracle if not x.is_identity()]
+    center = [x for x in elems if all(x * g == g * x for g in group.generators)]
+    assert sorted(group.center().generators) == [x for x in center if not x.is_identity()]
+    label_of, reps, mul = _abelian_quotient_oracle(group)
+    ab = group.abelianization()
+    assert [ab.label(g) for g in elems] == [label_of[g] for g in elems]
+    assert ab.reps == reps
+    assert [[ab.multiply(a, b) for b in range(ab.size)] for a in range(ab.size)] == mul
 
 
 def _table_oracle(group):
@@ -362,14 +436,19 @@ def _table_oracle(group):
     inv = np.array([code_of[g.inverse().images] for g in elems], dtype=dtype)
     order_of = np.array([g.order() for g in elems], dtype=np.int64)
     class_id = np.empty(size, dtype=np.int32)
-    for ci, c in enumerate(group.conjugacy_classes()):
-        for g in c.elements:
+    for ci, c in enumerate(_classes_oracle(group)):
+        for g in c:
             class_id[code_of[g.images]] = ci
+    inner_maps = np.empty((size, size), dtype=dtype)
+    for z in range(size):
+        # row z column x: (z^-1 * x) * z
+        inner_maps[z] = mul[mul[int(inv[z])], z]
     return {
         "mul": mul,
         "inv": inv,
         "order_of": order_of,
         "class_id": class_id,
+        "inner_maps": inner_maps,
         "identity": code_of[tuple(range(group.degree))],
     }
 
@@ -377,11 +456,14 @@ def _table_oracle(group):
 def assert_table_matches_oracle(group):
     table = hw.GroupTable(group)
     expected = _table_oracle(group)
-    assert table.identity == expected.pop("identity")
+    assert table.identity == expected.pop("identity") == 0
+    assert np.array_equal(table.inner_maps(), expected.pop("inner_maps"))
+    assert table.inner_maps().dtype == table.mul.dtype
     for name, want in expected.items():
         got = getattr(table, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
+    assert_classes_match_oracle(group)
 
 
 @pytest.mark.parametrize("name", ["a5", "s4", "s5", "s6", "pgl27"])
@@ -392,6 +474,16 @@ def test_group_table_matches_oracle_on_bundled_groups(name, request):
 @pytest.mark.parametrize("name", ["ext_2s5", "ext_2s5_alt", "ext_sl25", "ext_2pgl27", "ext_2s6"])
 def test_group_table_matches_oracle_on_bundled_covers(name, request):
     assert_table_matches_oracle(request.getfixturevalue(name).cover_group)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["a5", "s4", "s5", "s6", "pgl27", "ext_2s5", "ext_2s5_alt", "ext_sl25", "ext_2pgl27", "ext_2s6"],
+)
+def test_group_table_matches_oracle_on_derived_subgroups(name, request):
+    group = request.getfixturevalue(name)
+    group = getattr(group, "cover_group", group)
+    assert_table_matches_oracle(group.derived_subgroup())
 
 
 def test_group_table_matches_oracle_on_random_groups():
