@@ -326,10 +326,10 @@ def derive(root):
 
     stab_gens = [s6_perm("(1 2)"), s6_perm("(1 2 3 4 5)")]
     minus_one = None
-    kernel_perm = ext6.kernel_perms()[-1]
+    kernel_perm = ext6.table.perm(ext6.kernel_codes[-1])
     # preimages of the stabilizer generators, lexicographically least
     bt6 = S6.table()
-    pre_gens = [ext6.element(ext6.lift_code(bt6.code(g))) for g in stab_gens]
+    pre_gens = [ext6.table.perm(ext6.lift_code(bt6.code(g))) for g in stab_gens]
     cover5_gens = pre_gens + [kernel_perm]
     images5 = [restrict_to_5(g) for g in stab_gens] + [Permutation.identity(5)]
     C2S5 = PermGroup(80, cover5_gens, name="2.S5")
@@ -358,7 +358,7 @@ def derive(root):
     assert len(Exotic.orbits()) == 1, "exotic S5 should be transitive on 6 points"
     iso_ex = find_isomorphism(Exotic, S5)
     assert iso_ex is not None
-    pre_ex = [ext6.element(ext6.lift_code(bt6.code(g))) for g in exotic_gens]
+    pre_ex = [ext6.table.perm(ext6.lift_code(bt6.code(g))) for g in exotic_gens]
     cover5b_gens = pre_ex + [kernel_perm]
     images5b = [iso_ex[g] for g in exotic_gens] + [Permutation.identity(5)]
     C2S5b = PermGroup(80, cover5b_gens, name="2.S5 alt")

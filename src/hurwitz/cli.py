@@ -14,7 +14,6 @@ internal consistency check (a bug; the report carries "internal": true).
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
 
@@ -117,7 +116,7 @@ def cmd_validate(args):
         result["n"] = pinput.parameter.n
         result["search_size_estimate"] = str(pinput.parameter.search_size_estimate())
     if ext is not None:
-        result["cover"] = {"order": str(ext.cover_group.order()), "kernel_order": ext.kernel_order()}
+        result["cover"] = {"order": str(ext.size), "kernel_order": ext.kernel_order()}
     report["result"] = result
     return report
 
@@ -412,12 +411,6 @@ def main(argv=None):
             getattr(args, "out", None),
         )
         return EXIT_INTERNAL
-    finally:
-        # a command's groups, tables, classes and automorphisms point back
-        # at one another through `.group`, so only the cyclic collector
-        # frees them; collect here so a process running many commands does
-        # not keep every earlier command's tables alive
-        gc.collect()
     emit(report, args.out)
     return EXIT_OK
 

@@ -17,9 +17,10 @@ hosts the lifting invariant of Nielsen tuples: multiply the designated
 lifts of the entries; the resulting kernel element is constant on braid
 orbits and on conjugation orbits.
 
-Cover-side computations run on dense code tables; quotients are realized
-as permutation groups on the cosets of the factored central subgroup, with
-their tables induced arithmetically from the parent's.
+Cover-side computations run on dense code tables.  A cover is held as the
+GroupTable of its permutation group.  A reduced cover, the quotient by a
+central subgroup, gets its GroupTable arithmetically from the parent's;
+its elements are the permutations of the cosets by right multiplication.
 """
 
 from __future__ import annotations
@@ -33,61 +34,15 @@ from .errors import (
     InternalCheckError,
     UnsupportedConfigurationError,
 )
-from .perms import (
-    PermGroup,
-    Permutation,
-    conjugation_maps,
-    orbit_partition,
-    subgroup_codes,
-)
+from .perms import GroupTable, PermGroup, Permutation, orbit_partition
 from .structure import _hom_closure, is_ambiguous, is_pseudosimple
-
-
-def _commutator(mul, inv, a, b):
-    """Code(s) of a^-1 b^-1 a b in a dense multiplication table; b may be an array."""
-    return mul[mul[inv[a], inv[b]], mul[a, b]]
-
-
-def _derived_gen_codes(mul, inv, identity, group_gens):
-    """Generator codes of the derived subgroup: commutators plus normal closure."""
-    group_gens = [int(g) for g in group_gens]
-    comms = set()
-    for a in group_gens:
-        for b in group_gens:
-            c = int(_commutator(mul, inv, a, b))
-            if c != identity:
-                comms.add(c)
-    gens = sorted(comms)
-    subgroup = set(subgroup_codes(mul, identity, gens))
-    frontier = list(gens)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in group_gens:
-                y = int(mul[mul[inv[g], x], g])
-                if y not in subgroup:
-                    gens.append(y)
-                    subgroup = set(subgroup_codes(mul, identity, gens))
-                    new.append(y)
-        frontier = new
-    return gens, subgroup
-
-
-def _conj_partition(mul, inv, codes, acting_gens):
-    """Orbits of conjugation by the given generators on a code subset."""
-    codes = np.unique(np.asarray(codes, dtype=np.int64))
-    orbits = orbit_partition(conjugation_maps(mul, inv, acting_gens), codes)
-    if sum(len(orbit) for orbit in orbits) != len(codes):
-        raise InternalCheckError("conjugation left the given code subset")
-    return [orbit.tolist() for orbit in orbits]
 
 
 @dataclass(frozen=True)
 class KernelSubgroup:
-    """A subgroup of a cover kernel, as sorted element codes plus Permutations."""
+    """A subgroup of a cover kernel, as sorted element codes."""
 
     codes: tuple
-    perms: tuple
 
     @property
     def order(self):
@@ -103,30 +58,21 @@ class KernelSubgroup:
 class CentralExtension:
     """A verified central extension pi: cover -> base with central kernel.
 
-    `mul` and `inv` are dense tables over cover element codes; `proj` sends
-    cover codes to base codes; `gen_codes` are the codes of the cover
-    group's generators, in order; `element(code)` materializes a cover
-    element as a Permutation.  Verification failures raise InputError
-    naming the broken invariant.
+    `table` is the GroupTable of the cover; `proj` sends cover codes to base
+    codes.  Verification failures raise InputError naming the broken
+    invariant.
     """
 
-    def __init__(self, cover_group, base_group, mul, inv, identity, proj, gen_codes, element_fn, name=None):
-        self.cover_group = cover_group
+    def __init__(self, table, base_group, proj, name=None):
+        self.table = table
         self.base_group = base_group
-        self.mul = mul
-        self.inv = inv
-        self.identity = identity
         self.proj = proj
-        self.gen_codes = [int(c) for c in gen_codes]
-        self.size = len(proj)
-        self._element_fn = element_fn
         self.name = name
         base_identity = base_group.table().identity
         self.kernel_codes = tuple(
             int(c) for c in np.nonzero(proj == base_identity)[0]
         )
         self._lift = None
-        self._derived = None
 
     # -- construction ---------------------------------------------------------
 
@@ -136,8 +82,7 @@ class CentralExtension:
         if len(cover_gens) != len(image_gens):
             raise InputError("cover and image generator lists have different lengths")
         degree = cover_gens[0].degree if cover_gens else 1
-        cover = PermGroup(degree, cover_gens, name=name)
-        ct = cover.table()
+        ct = PermGroup(degree, cover_gens).table()
         bt = base_group.table()
         # identity generators on the cover side are dropped by PermGroup; keep
         # the projection pairs aligned on the originals
@@ -152,59 +97,33 @@ class CentralExtension:
         proj = _hom_closure(ct, bt, [g for g, _ in pairs], [f for _, f in pairs])
         if proj is None:
             raise InputError("projection is not a homomorphism")
-        ext = cls(
-            cover,
-            base_group,
-            ct.mul,
-            ct.inv,
-            ct.identity,
-            proj,
-            ct.gen_codes,
-            ct.perm,
-            name=name,
-        )
+        ext = cls(ct, base_group, proj, name=name)
         ext.verify()
         return ext
 
     def verify(self):
+        table = self.table
         if len(set(int(p) for p in self.proj)) != self.base_group.order():
             raise InputError("projection not surjective")
-        kernel = set(self.kernel_codes)
-        for z in kernel:
-            for g in self.gen_codes:
-                if int(self.mul[z, g]) != int(self.mul[g, z]):
-                    raise InputError("kernel not central")
-        _, derived = self._derived_data()
-        if not kernel <= derived:
+        kernel = np.array(self.kernel_codes, dtype=np.int64)
+        gens = np.array(table.gen_codes, dtype=np.int64)
+        if not np.array_equal(table.mul[np.ix_(kernel, gens)], table.mul[np.ix_(gens, kernel)].T):
+            raise InputError("kernel not central")
+        derived = set(table.closure_codes(table.derived_gen_codes()))
+        if not set(self.kernel_codes) <= derived:
             raise InputError("stem condition violated: kernel not inside derived subgroup")
-
-    def _derived_data(self):
-        if self._derived is None:
-            self._derived = _derived_gen_codes(
-                self.mul, self.inv, self.identity, self.gen_codes
-            )
-        return self._derived
 
     # -- basic queries ---------------------------------------------------------
 
-    def element(self, code):
-        return self._element_fn(int(code))
+    @property
+    def size(self):
+        return self.table.size
 
     def kernel_order(self):
         return len(self.kernel_codes)
 
-    def kernel_perms(self):
-        return tuple(self.element(c) for c in self.kernel_codes)
-
-    def kernel_group(self):
-        """The kernel as a PermGroup (abelian: it is central in the cover)."""
-        return PermGroup(
-            self.cover_group.degree, list(self.kernel_perms()), name="kernel"
-        )
-
     def kernel_subgroup(self, codes):
-        codes = tuple(sorted(int(c) for c in set(codes)))
-        return KernelSubgroup(codes, tuple(self.element(c) for c in codes))
+        return KernelSubgroup(tuple(sorted(int(c) for c in set(codes))))
 
     def lift_code(self, base_code):
         """Code of the lexicographically least preimage of a base element;
@@ -218,7 +137,7 @@ class CentralExtension:
     def lift_commutator(self, x, y):
         """Code of [x~, y~] for the least lifts of base codes x and y; y may
         be an array of base codes."""
-        return _commutator(self.mul, self.inv, self.lift_code(x), self.lift_code(y))
+        return self.table.commutator(self.lift_code(x), self.lift_code(y))
 
     def preimage_codes(self, base_codes):
         mask = np.isin(self.proj, np.asarray(list(base_codes), dtype=np.int64))
@@ -245,7 +164,7 @@ def commutator_pairing(ext, x, y):
     comm = ext.lift_commutator(cx, cy)
     if comm not in set(ext.kernel_codes):
         raise InternalCheckError("commutator of lifts landed outside the kernel")
-    return ext.element(comm)
+    return ext.table.perm(comm)
 
 
 def _pairings(ext, g):
@@ -278,8 +197,8 @@ def obstruction_subgroups(ext, classes):
         rep = bt.code(c.representative)
         full |= _pairing_codes(ext, rep, derived_only=False)
         primed |= _pairing_codes(ext, rep, derived_only=True)
-    full_closed = subgroup_codes(ext.mul, ext.identity, sorted(full))
-    primed_closed = subgroup_codes(ext.mul, ext.identity, sorted(primed))
+    full_closed = ext.table.closure_codes(sorted(full))
+    primed_closed = ext.table.closure_codes(sorted(primed))
     return ext.kernel_subgroup(full_closed), ext.kernel_subgroup(primed_closed)
 
 
@@ -290,9 +209,9 @@ def obstruction_subgroups(ext, classes):
 def reduce_cover(ext, classes):
     """Quotient of the cover by the full obstruction subgroup of the classes.
 
-    Realized as a permutation group on the cosets of the factored central
-    subgroup; afterwards every listed class splits completely, which is
-    verified (and an InternalCheckError if not).
+    Its table is induced on the cosets of the factored central subgroup;
+    afterwards every listed class splits completely, which is verified (and
+    an InternalCheckError if not).
     """
     full, _ = obstruction_subgroups(ext, classes)
     if full.order == 1:
@@ -311,36 +230,21 @@ def reduce_cover(ext, classes):
 
 
 def _central_quotient(ext, h_codes):
-    """Quotient extension cover/H for a central subgroup H given by codes."""
-    # row c of mul over the codes of H is the coset cH; its least code names it
-    reps, coset_of = np.unique(ext.mul[:, sorted(set(h_codes))].min(axis=1), return_inverse=True)
-    reps = reps.astype(np.int64)
-    q_size = len(reps)
-    q_mul = coset_of[ext.mul[np.ix_(reps, reps)]]
-    q_identity = int(coset_of[ext.identity])
-    q_inv = coset_of[ext.inv[reps]]
-    # cosets of H are permuted by right multiplication; this regular-style
-    # action is faithful for the quotient group
-    def coset_perm(code):
-        return Permutation(int(coset_of[ext.mul[r, reps[code]]]) for r in reps)
+    """Quotient extension cover/H for a central subgroup H given by codes.
 
-    # PermGroup drops identity and repeated generators; coset_perm is
-    # faithful, so dropping them by code keeps the codes aligned
-    gen_codes = list(dict.fromkeys(int(coset_of[c]) for c in ext.gen_codes))
-    gen_codes = [c for c in gen_codes if c != q_identity]
-    q_group = PermGroup(
-        q_size, [coset_perm(c) for c in gen_codes], name=f"{ext.name or 'cover'}/H"
-    )
+    Coset c is numbered by its least code, and its element is the
+    permutation mul[:, c] by which right multiplication moves the cosets;
+    this action is faithful for the quotient group.
+    """
+    ct = ext.table
+    # row c of mul over the codes of H is the coset cH; its least code names it
+    reps, coset_of = np.unique(ct.mul[:, sorted(set(h_codes))].min(axis=1), return_inverse=True)
+    reps = reps.astype(np.int64)
+    q_mul = coset_of[ct.mul[np.ix_(reps, reps)]].astype(ct.mul.dtype)
+    q_inv = coset_of[ct.inv[reps]].astype(ct.mul.dtype)
+    table = GroupTable.from_arrays(q_mul, q_inv, coset_of[ct.identity], coset_of[ct.gen_codes])
     quotient = CentralExtension(
-        q_group,
-        ext.base_group,
-        q_mul,
-        q_inv,
-        q_identity,
-        ext.proj[reps],
-        gen_codes,
-        coset_perm,
-        name=f"{ext.name or 'cover'} reduced",
+        table, ext.base_group, ext.proj[reps], name=f"{ext.name or 'cover'} reduced"
     )
     quotient.verify()
     return quotient
@@ -359,13 +263,11 @@ class ClassKind:
 
 def _preimage_counts(ext, conj_class):
     """(cover classes, cover-derived orbits) above a base class."""
-    if conj_class.group is not ext.base_group:
+    if conj_class.table is not ext.base_group.table():
         raise InputError("class does not belong to the extension's base group")
     pre = ext.preimage_codes(conj_class.codes)
-    classes = _conj_partition(ext.mul, ext.inv, pre, ext.gen_codes)
-    derived_gens, _ = ext._derived_data()
-    derived_orbits = _conj_partition(ext.mul, ext.inv, pre, derived_gens)
-    return len(classes), len(derived_orbits)
+    ct = ext.table
+    return np.unique(ct.class_id[pre]).size, len(ct.derived_orbits(pre))
 
 
 def check_split_pp(ext):
@@ -495,7 +397,7 @@ def _find_witness(ext, classes, primed_codes):
         outside = np.nonzero(~np.isin(comms, primed_codes))[0]
         if outside.size:
             j = outside[0]
-            return (i, bt.perm(g), bt.perm(zs[j]), ext.element(comms[j]))
+            return (i, bt.perm(g), bt.perm(zs[j]), ext.table.perm(comms[j]))
     raise InternalCheckError("subgroups differ but no witness pairing found")
 
 
@@ -539,26 +441,17 @@ class LiftData:
             raise InputError("extension base group differs from the parameter's group")
         self.ext = ext
         self.h = h
+        ct = ext.table
         lift_of = np.full(bt.size, -1, dtype=np.int64)
         chosen = []
         for c in h.classes:
-            rep_code = bt.code(c.representative)
-            least = ext.lift_code(rep_code)
-            orbit = None
-            for part in _conj_partition(
-                ext.mul,
-                ext.inv,
-                ext.preimage_codes(c.codes),
-                ext.gen_codes,
-            ):
-                if least in part:
-                    orbit = part
-                    break
-            if orbit is None:
-                raise InternalCheckError("least preimage missing from cover classes")
-            chosen.append(ext.element(least))
+            least = int(ext.lift_code(bt.code(c.representative)))
+            pre = np.array(ext.preimage_codes(c.codes), dtype=np.int64)
+            # the cover class of the least preimage, among the preimages
+            orbit = pre[ct.class_id[pre] == ct.class_id[least]]
+            chosen.append(ct.perm(least))
             seen_base = set()
-            for xc in orbit:
+            for xc in orbit.tolist():
                 b = int(ext.proj[xc])
                 if b in seen_base:
                     raise InputError(
@@ -584,9 +477,10 @@ class LiftData:
         lifted = self.lift_of[rows]
         if (lifted < 0).any():
             raise InputError("tuple entry outside the parameter's classes")
-        acc = np.full(len(rows), self.ext.identity, dtype=np.int64)
+        ct = self.ext.table
+        acc = np.full(len(rows), ct.identity, dtype=np.int64)
         for j in range(rows.shape[1]):
-            acc = self.ext.mul[acc, lifted[:, j]].astype(np.int64)
+            acc = ct.mul[acc, lifted[:, j]].astype(np.int64)
         out = np.empty(len(rows), dtype=np.int64)
         for i, code in enumerate(acc):
             idx = self._kernel_index.get(int(code))
@@ -600,7 +494,7 @@ class LiftData:
         row = np.array([[bt.code(g) for g in t]], dtype=np.int64)
         idx = int(self.label_codes_for_rows(row)[0])
         return InvariantLabel(
-            value=self.ext.element(self.kernel_sorted[idx]),
+            value=self.ext.table.perm(self.kernel_sorted[idx]),
             index=idx,
             chosen_lifts=self.chosen,
         )

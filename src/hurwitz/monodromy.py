@@ -507,24 +507,22 @@ def mass_report(h, fiber_inn_size=None, fiber_aut_size=None, label_shares=None, 
 
 
 def _assignments(classes_counts):
-    """All position-wise class words with the given multiset of counts."""
-    out = []
-    total = sum(classes_counts.values())
-
-    def rec(prefix, counts):
-        if len(prefix) == total:
-            out.append(tuple(prefix))
-            return
-        for ci in sorted(counts):
-            if counts[ci]:
-                counts[ci] -= 1
-                prefix.append(ci)
-                rec(prefix, counts)
-                prefix.pop()
-                counts[ci] += 1
-
-    rec([], dict(classes_counts))
-    return out
+    """All position-wise class words with the given multiset of counts, in
+    lexicographic order (each word's successor by the next-permutation step)."""
+    word = [ci for ci in sorted(classes_counts) for _ in range(classes_counts[ci])]
+    out = [tuple(word)]
+    while True:
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = reversed(word[i + 1:])
+        out.append(tuple(word))
 
 
 def cross_check_braid_orbits(h, budget=None):

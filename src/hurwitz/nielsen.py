@@ -92,7 +92,7 @@ def validate_classes(group, classes):
     """Shared checks for class lists: membership, distinctness, nonidentity."""
     seen = set()
     for i, c in enumerate(classes):
-        if not isinstance(c, ConjugacyClass) or c.group is not group:
+        if not isinstance(c, ConjugacyClass) or c.table is not group.table():
             raise InputError(f"class #{i} is not a conjugacy class of the given group")
         if c.representative.is_identity():
             raise InputError(f"class #{i} is the identity class")
@@ -262,9 +262,6 @@ class NielsenTupleSet:
     def __contains__(self, t):
         row = np.array([self.table.code(g) for g in t], dtype=self.codes.dtype)
         return bool((self.codes == row).all(axis=1).any())
-
-    def codes_of(self, t):
-        return [self.table.code(g) for g in t]
 
 
 def _class_code_arrays(table, classes):
@@ -467,17 +464,11 @@ def enumerate_tuples(h, budget=None):
     positions are a join with the (a, b) pairs sorted by product, and
     generation is tracked by a SubgroupCloser whose closures are memoized
     per double coset.  `visits` counts the root and every prefix that
-    survives both prunes.  Raises BudgetError when the configured
-    prefix-visit budget is exhausted, with `consumed` one more than the
-    budget.
+    survives both prunes.  Raises BudgetError as soon as that count exceeds
+    the configured budget, with `consumed` one more than the budget; the
+    count is the only budget check.
     """
     budget = DEFAULT_TUPLE_BUDGET if budget is None else budget
-    if h.search_size_estimate() > budget:
-        raise BudgetError(
-            f"estimated search size {h.search_size_estimate()} exceeds budget {budget}",
-            consumed=0,
-            budget=budget,
-        )
     table = h.group.table()
     order, script = _sorted_block_arrangement(h)
     pos_class = []
@@ -580,11 +571,6 @@ class Fiber:
     def index_of_keys(self, keys):
         return key_positions(self.keys, keys)
 
-    def index_of_tuple(self, t):
-        row = np.array([[self.table.code(g) for g in t]], dtype=np.int64)
-        rows, keys = self.canonical_codes(row)
-        return int(self.index_of_keys(keys)[0])
-
 
 def acting_maps(h, mode):
     """Element relabeling maps of the acting group for a fiber mode."""
@@ -595,7 +581,7 @@ def acting_maps(h, mode):
         from .structure import aut_fixing_classes, automorphism_group
 
         aut = aut_fixing_classes(automorphism_group(h.group), h.classes)
-        return aut.element_maps(table)
+        return aut.element_maps()
     raise InputError(f"unknown fiber mode {mode!r}; expected 'inn' or 'aut'")
 
 

@@ -13,16 +13,24 @@ Conventions used throughout the package:
 
 Groups are backed by a deterministic Schreier-Sims stabilizer chain for
 orders and membership.  Everything else is read off a dense code table
-(`GroupTable`) over the fully materialized element list: conjugacy classes
-are orbits of conjugation by the generators, centralizers and the center
-are comparisons of table columns with rows, and the cosets of the derived
-subgroup are orbits of right multiplication by its generators.  A table
-holds |G|^2 codes, which is the right trade-off for the group sizes this
-package targets (|G| <= a few thousand); element materialization is capped.
+(`GroupTable`): conjugacy classes are orbits of conjugation by the
+generators, centralizers and the center are comparisons of table columns
+with rows, and the cosets of the derived subgroup are orbits of right
+multiplication by its generators.  A table is built in one of two ways:
+`PermGroup.table()` materializes the group's elements (capped) and codes
+them by their place in the sorted element list, and
+`GroupTable.from_arrays` takes the tables of a quotient whose codes are
+already fixed (a reduced cover), whose elements are the permutations of
+its codes by right multiplication.  A table holds |G|^2 codes, which is
+the right trade-off for the group sizes this package targets (|G| <= a few
+thousand).  Tables, classes, abelianizations and automorphism groups hold
+no reference back to a group object, so reference counting frees them with
+the last reference to their group.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -420,15 +428,14 @@ class StabilizerChain:
 
 
 class ConjugacyClass:
-    """A conjugacy class with its sorted codes and materialized element list."""
+    """A conjugacy class: its sorted codes in a group's table and its elements."""
 
-    __slots__ = ("group", "codes", "representative", "elements", "size")
+    __slots__ = ("table", "codes", "representative", "elements", "size")
 
-    def __init__(self, group, codes):
-        self.group = group
+    def __init__(self, table, codes):
+        self.table = table
         self.codes = codes
-        elements = group.elements()
-        self.elements = tuple(elements[c] for c in codes.tolist())
+        self.elements = tuple(table.elements[c] for c in codes.tolist())
         self.representative = self.elements[0]
         self.size = len(self.elements)
 
@@ -439,19 +446,18 @@ class ConjugacyClass:
         return self.representative.cycle_type()
 
     def __contains__(self, perm):
-        table = self.group.table()
-        code = table.code_of.get(perm.images)
-        return code is not None and table.class_id[code] == table.class_id[self.codes[0]]
+        code = self.table.code_of.get(perm.images)
+        return code is not None and self.table.class_id[code] == self.table.class_id[self.codes[0]]
 
     def __eq__(self, other):
         return (
             isinstance(other, ConjugacyClass)
-            and self.group is other.group
+            and self.table is other.table
             and self.representative == other.representative
         )
 
     def __hash__(self):
-        return hash((id(self.group), self.representative))
+        return hash((id(self.table), self.representative))
 
     def __repr__(self):
         return (
@@ -469,8 +475,8 @@ class AbelianQuotient:
     """
 
     def __init__(self, group):
-        self.group = group
         table = group.table()
+        self.table = table
         derived = [table.code(g) for g in group.derived_subgroup().generators]
         # the cosets x G' are the orbits of x -> x d; the identity's code 0 is
         # the least code, so its coset is numbered 0
@@ -484,7 +490,7 @@ class AbelianQuotient:
         self._mul = self.labels[table.mul[np.ix_(rep_codes, rep_codes)]].tolist()
 
     def label(self, perm):
-        return int(self.labels[self.group.table().code(perm)])
+        return int(self.labels[self.table.code(perm)])
 
     def class_label(self, conj_class):
         # conjugate elements share a coset of G', so any representative works
@@ -492,12 +498,6 @@ class AbelianQuotient:
 
     def multiply(self, a, b):
         return self._mul[a][b]
-
-    def power(self, a, k):
-        result = 0
-        for _ in range(k % self.element_order(a) if k else 0):
-            result = self._mul[result][a]
-        return result
 
     def element_order(self, a):
         n, acc = 1, a
@@ -651,6 +651,7 @@ class PermGroup:
         self._center = None
         self._abelianization = None
         self._table = None
+        self._classes = None
         self._aut = None
 
     @classmethod
@@ -748,11 +749,14 @@ class PermGroup:
 
     def conjugacy_classes(self):
         """Conjugacy classes, sorted by (element order, size, least rep)."""
-        return self.table().classes
+        if self._classes is None:
+            table = self.table()
+            self._classes = tuple(ConjugacyClass(table, codes) for codes in table.class_codes)
+        return self._classes
 
     def class_of(self, perm):
         table = self.table()
-        return table.classes[table.class_id[table.code(perm)]]
+        return self.conjugacy_classes()[table.class_id[table.code(perm)]]
 
     def centralizer(self, perm):
         """Z(g) as a PermGroup generated by all of its elements."""
@@ -863,54 +867,92 @@ class _BaseIndex:
 
 
 class GroupTable:
-    """Dense multiplication tables for a fully materialized group.
+    """Dense multiplication tables of a finite group over element codes.
 
-    Elements are coded by their index in the sorted element list, so the
-    identity's code is 0; `mul`, `inv`, `order_of` and `class_id` are numpy
-    arrays over these codes.  The hot paths (tuple enumeration,
-    canonicalization, braid moves) work on codes only.
+    `mul`, `inv`, `order_of` and `class_id` are numpy arrays over codes, the
+    identity's code is 0, and `images[c]` holds the images of element c, so
+    that `perm(c)` materializes it.  The hot paths (tuple enumeration,
+    canonicalization, braid moves, cover pairings) work on codes only.  A
+    table holds no reference to a group object.  It is built in one of two
+    ways:
 
-    A product or inverse is coded by its images of the chain base B: the
-    images of a*b at B are arr[b, arr[a, B]], and `_BaseIndex` turns them
-    into a code by len(B) integer gathers.  `mul` is built in row chunks of
-    about `_TABLE_CHUNK` products, so the build costs O(|G|^2 * |B|) gathers
-    and about 2 MiB beyond the table itself.  `order_of` comes from powering
-    every element at once through `mul`.  A product missing from the
-    element list raises InternalCheckError.  The conjugacy classes are the
-    orbits of conjugation by the generators, sorted by (element order, size,
-    least code); the least code is the lexicographically least element.
+    * `GroupTable(group)` materializes a permutation group.  Codes follow
+      the sorted element list, so the least code is the lexicographically
+      least element.  A product or inverse is coded by its images of the
+      chain base B: the images of a*b at B are arr[b, arr[a, B]], and
+      `_BaseIndex` turns them into a code by len(B) integer gathers.  `mul`
+      is built in row chunks of about `_TABLE_CHUNK` products, so the build
+      costs O(|G|^2 * |B|) gathers and about 2 MiB beyond the table itself.
+      A product missing from the element list raises InternalCheckError.
+    * `GroupTable.from_arrays(mul, inv, identity, gen_codes)` takes the
+      tables of a group whose codes are already fixed, such as a quotient
+      of a cover by a central subgroup.  Its element c is the permutation
+      mul[:, c] of the codes (right multiplication by c), and `elements`
+      and `code_of` are built only when asked for.
+
+    Either way `order_of` comes from powering every element at once through
+    `mul`, and the conjugacy classes are the orbits of conjugation by the
+    generators, sorted by (element order, size, least code) into
+    `class_codes`.
     """
 
     def __init__(self, group):
         elems = group.elements()
-        self.group = group
         self.elements = elems
-        self.size = len(elems)
         self.code_of = {g.images: i for i, g in enumerate(elems)}
-        self.identity = self.code_of[tuple(range(group.degree))]
-        self.gen_codes = [self.code_of[g.images] for g in group.generators]
-        dtype = np.uint16 if self.size < 65535 else np.uint32
+        size = len(elems)
+        dtype = np.uint16 if size < 65535 else np.uint32
         # images run up to degree - 1, which the code dtype need not hold
         image_dtype = np.uint16 if group.degree <= 65536 else np.uint32
         arr = np.ascontiguousarray(np.array([g.images for g in elems], dtype=image_dtype))
         base = group.chain().base()
         index = _BaseIndex(arr, base, group.degree)
-        mul = np.empty((self.size, self.size), dtype=dtype)
-        rows = max(1, _TABLE_CHUNK // self.size)
-        for a0 in range(0, self.size, rows):
+        mul = np.empty((size, size), dtype=dtype)
+        rows = max(1, _TABLE_CHUNK // size)
+        for a0 in range(0, size, rows):
             # block[b, a, j] is the image of base[j] under a*b
             block = arr[:, arr[a0:a0 + rows][:, base]]
             mul[a0:a0 + rows] = index.codes(block).T
+        inv = index.codes(np.argsort(arr, axis=1)[:, base]).astype(dtype)
+        self._set_tables(
+            arr,
+            mul,
+            inv,
+            self.code_of[tuple(range(group.degree))],
+            [self.code_of[g.images] for g in group.generators],
+        )
+
+    @classmethod
+    def from_arrays(cls, mul, inv, identity, gen_codes):
+        """The table of the group whose element c is the permutation mul[:, c]."""
+        table = cls.__new__(cls)
+        table._set_tables(mul.T, mul, inv, identity, gen_codes)
+        return table
+
+    def _set_tables(self, images, mul, inv, identity, gen_codes):
+        self.images = images
+        self.size = len(mul)
         self.mul = mul
-        self.inv = index.codes(np.argsort(arr, axis=1)[:, base]).astype(dtype)
+        self.inv = inv
+        self.identity = int(identity)
+        self.gen_codes = [int(c) for c in gen_codes]
         self.order_of = self._orders()
-        orbits = orbit_partition(conjugation_maps(mul, self.inv, self.gen_codes))
+        orbits = orbit_partition(conjugation_maps(mul, inv, self.gen_codes))
         orbits.sort(key=lambda orbit: (self.order_of[orbit[0]], len(orbit), orbit[0]))
-        self.classes = tuple(ConjugacyClass(group, orbit) for orbit in orbits)
+        self.class_codes = tuple(orbits)
         self.class_id = np.empty(self.size, dtype=np.int32)
         for ci, orbit in enumerate(orbits):
             self.class_id[orbit] = ci
         self._inner_maps = None
+        self._derived_gens = None
+
+    @functools.cached_property
+    def elements(self):
+        return tuple(Permutation(row) for row in self.images.tolist())
+
+    @functools.cached_property
+    def code_of(self):
+        return {g.images: i for i, g in enumerate(self.elements)}
 
     def _orders(self):
         """Element orders, by x <- x*g from x = g until x is the identity."""
@@ -930,7 +972,7 @@ class GroupTable:
             raise InputError("element does not belong to the group") from None
 
     def perm(self, code):
-        return self.elements[int(code)]
+        return Permutation(self.images[int(code)].tolist())
 
     def inner_maps(self):
         """Element relabeling x -> x^z for every z, as an (m, m) array."""
@@ -945,6 +987,44 @@ class GroupTable:
     def closure_codes(self, codes):
         """Subgroup generated by the given codes, as a sorted tuple of codes."""
         return subgroup_codes(self.mul, self.identity, codes)
+
+    def commutator(self, a, b):
+        """Code(s) of a^-1 b^-1 a b; a and b may be code arrays that broadcast."""
+        mul, inv = self.mul, self.inv
+        return mul[mul[inv[a], inv[b]], mul[a, b]]
+
+    def derived_gen_codes(self):
+        """Generator codes of the derived subgroup: the commutators of the
+        generators, closed under conjugation by the generators."""
+        if self._derived_gens is None:
+            mul, inv = self.mul, self.inv
+            g = np.asarray(self.gen_codes, dtype=np.int64)
+            comms = np.unique(self.commutator(g[:, None], g)).tolist()
+            gens = [c for c in comms if c != self.identity]
+            members = set(self.closure_codes(gens))
+            frontier = list(gens)
+            while frontier:
+                new = []
+                for x in frontier:
+                    for z in self.gen_codes:
+                        y = int(mul[mul[inv[z], x], z])
+                        if y not in members:
+                            gens.append(y)
+                            members = set(self.closure_codes(gens))
+                            new.append(y)
+                frontier = new
+            self._derived_gens = gens
+        return self._derived_gens
+
+    def derived_orbits(self, codes):
+        """Orbits of conjugation by the derived subgroup on a set of codes
+        closed under it (a union of classes), as sorted code lists."""
+        codes = np.unique(np.asarray(codes, dtype=np.int64))
+        step = conjugation_maps(self.mul, self.inv, self.derived_gen_codes())
+        orbits = orbit_partition(step, codes)
+        if sum(len(orbit) for orbit in orbits) != len(codes):
+            raise InternalCheckError("conjugation left the given code subset")
+        return [orbit.tolist() for orbit in orbits]
 
 
 class SubgroupCloser:

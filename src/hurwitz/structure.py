@@ -19,22 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .perms import PermGroup, Permutation, conjugation_maps, orbit_partition
+from .perms import PermGroup, Permutation
 
 
 def is_ambiguous(group, conj_class):
     """True when the derived subgroup has more than one orbit on the class."""
-    if conj_class.group is not group:
+    if conj_class.table is not group.table():
         raise InputError("class does not belong to the given group")
     return derived_orbit_count(group, conj_class) > 1
 
 
 def derived_orbit_count(group, conj_class):
     """Number of derived-subgroup conjugation orbits on the class."""
-    table = group.table()
-    derived_codes = [table.code(g) for g in group.derived_subgroup().generators]
-    step = conjugation_maps(table.mul, table.inv, derived_codes)
-    return len(orbit_partition(step, conj_class.codes))
+    return len(group.table().derived_orbits(conj_class.codes))
 
 
 def centralizer_covers_abelianization(group, conj_class):
@@ -156,24 +153,19 @@ def is_pseudosimple(group):
 
 
 class Automorphism:
-    """An automorphism stored as generator images plus a full element map."""
+    """An automorphism stored as generator images plus a full element map
+    over the codes of its group's table."""
 
-    __slots__ = ("group", "gen_images", "element_map", "inner")
+    __slots__ = ("table", "gen_images", "element_map", "inner")
 
-    def __init__(self, group, gen_images, element_map, inner):
-        self.group = group
+    def __init__(self, table, gen_images, element_map, inner):
+        self.table = table
         self.gen_images = tuple(gen_images)
         self.element_map = element_map  # np array: element code -> element code
         self.inner = inner
 
     def apply(self, perm):
-        table = self.group.table()
-        return table.perm(int(self.element_map[table.code(perm)]))
-
-    def apply_tuple(self, t):
-        from .nielsen import NielsenTuple
-
-        return NielsenTuple(self.apply(g) for g in t)
+        return self.table.perm(int(self.element_map[self.table.code(perm)]))
 
     def __eq__(self, other):
         return isinstance(other, Automorphism) and np.array_equal(
@@ -189,10 +181,11 @@ class Automorphism:
 
 
 class AutGroup:
-    """All automorphisms of a group, with the induced action on its classes."""
+    """All automorphisms of a group, given by its table, with the induced
+    action on its classes (numbered by the table's `class_id`)."""
 
-    def __init__(self, group, maps, class_action, inner_count):
-        self.group = group
+    def __init__(self, table, maps, class_action, inner_count):
+        self.table = table
         self.maps = tuple(maps)
         self.class_action = tuple(class_action)
         self.inner_count = inner_count
@@ -207,8 +200,8 @@ class AutGroup:
     def outer_order(self):
         return len(self.maps) // self.inner_count
 
-    def element_maps(self, table=None):
-        table = table or self.group.table()
+    def element_maps(self):
+        table = self.table
         out = np.empty((len(self.maps), table.size), dtype=table.mul.dtype)
         for i, a in enumerate(self.maps):
             out[i] = a.element_map
@@ -221,7 +214,7 @@ class AutGroup:
         ``full=True`` every product of the multiplication table is
         rechecked, which is affordable for the desk-scale groups here.
         """
-        table = self.group.table()
+        table = self.table
         m = table.size
         for a in self.maps:
             fmap = a.element_map
@@ -321,6 +314,18 @@ def _word_order(table, codes, word):
     return int(table.order_of[acc])
 
 
+def _pruned_product(pools, accept, prefix=()):
+    """Tuples of one candidate per pool, depth first in pool order, whose
+    every prefix passes accept(prefix)."""
+    if len(prefix) == len(pools):
+        yield prefix
+        return
+    for cand in pools[len(prefix)]:
+        longer = prefix + (cand,)
+        if accept(longer):
+            yield from _pruned_product(pools, accept, longer)
+
+
 def isomorphisms(source, target, find_all=True):
     """Backtracking search for isomorphisms source -> target.
 
@@ -357,27 +362,20 @@ def isomorphisms(source, target, find_all=True):
         for words in words_by_len.values()
         for word in words
     }
+
+    def consistent(prefix):
+        return all(
+            _word_order(tt, prefix, word) == source_orders[word]
+            for word in words_by_len.get(len(prefix), ())
+        )
+
     found = []
-    chosen = [0] * len(gens)
-
-    def backtrack(i):
-        if i == len(gens):
-            fmap = _hom_closure(ts, tt, gen_codes, chosen)
-            if fmap is not None and np.unique(fmap).size == ts.size:
-                found.append(fmap)
-            return not find_all and bool(found)
-        for cand in pools[i]:
-            chosen[i] = cand
-            ok = True
-            for word in words_by_len.get(i + 1, ()):
-                if _word_order(tt, chosen, word) != source_orders[word]:
-                    ok = False
-                    break
-            if ok and backtrack(i + 1):
-                return True
-        return False
-
-    backtrack(0)
+    for chosen in _pruned_product(pools, consistent):
+        fmap = _hom_closure(ts, tt, gen_codes, chosen)
+        if fmap is not None and np.unique(fmap).size == ts.size:
+            found.append(fmap)
+            if not find_all:
+                break
     return found
 
 
@@ -403,14 +401,14 @@ def automorphism_group(group):
     auts = []
     class_actions = []
     for fmap in sorted(maps, key=lambda f: f.tobytes()):
-        gen_images = [table.perm(int(fmap[c])) for c in table.gen_codes]
+        gen_images = [table.elements[int(fmap[c])] for c in table.gen_codes]
         is_inner = fmap.astype(np.int64).tobytes() in inner
-        auts.append(Automorphism(group, gen_images, fmap, is_inner))
+        auts.append(Automorphism(table, gen_images, fmap, is_inner))
         class_actions.append(
             tuple(int(table.class_id[int(fmap[rc])]) for rc in rep_codes)
         )
     inner_count = group.order() // group.center().order()
-    result = AutGroup(group, auts, class_actions, inner_count)
+    result = AutGroup(table, auts, class_actions, inner_count)
     result.verify(full=False)
     if len(result.maps) % inner_count:
         raise InternalCheckError("automorphism search returned a non-group")
@@ -420,18 +418,16 @@ def automorphism_group(group):
 
 def aut_fixing_classes(aut, classes):
     """The subgroup of automorphisms fixing each listed class setwise."""
-    group = aut.group
-    if any(c.group is not group for c in classes):
+    if any(c.table is not aut.table for c in classes):
         raise InputError("classes must belong to the automorphism group's base group")
-    all_classes = group.conjugacy_classes()
-    wanted = {all_classes.index(c) for c in classes}
+    wanted = {int(aut.table.class_id[c.codes[0]]) for c in classes}
     keep = [
         i
         for i in range(len(aut.maps))
         if all(aut.class_action[i][ci] == ci for ci in wanted)
     ]
     return AutGroup(
-        group,
+        aut.table,
         [aut.maps[i] for i in keep],
         [aut.class_action[i] for i in keep],
         aut.inner_count,

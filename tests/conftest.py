@@ -68,6 +68,13 @@ def ext_2pgl27(pgl27):
     return _cover("2PGL27", pgl27)
 
 
+def cover_group(ext):
+    """The permutation group generated by the generators of an extension's
+    cover table, in the table's generator order."""
+    gens = [ext.table.perm(c) for c in ext.table.gen_codes]
+    return hw.PermGroup(gens[0].degree, gens)
+
+
 def class_by_type(group, cycle_type):
     want = tuple(sorted(cycle_type, reverse=True))
     for c in group.conjugacy_classes():

@@ -1,5 +1,6 @@
 """File parsing, schema diagnostics, CLI subcommands, exit codes, determinism."""
 
+import gc
 import json
 import weakref
 from pathlib import Path
@@ -111,9 +112,23 @@ def test_parse_inputs_builds_one_extension(monkeypatch):
     assert ext.base_group is pinput.group
 
 
+# one bundled job for each subcommand the benchmark runs
+_FREEING_JOBS = [
+    ["goursat", "h25"],
+    ["condition-e", "s6_e_hold", "--cover", "2S6"],
+    ["classify", "S6", "2S6"],
+    ["mass", "h25", "--cover", "2S5"],
+    ["monodromy", "h25", "--cover", "2S5", "--mode", "both"],
+    ["orbits", "a5_c3_n4", "--cover", "SL25", "--mode", "both"],
+    ["conway-parker", "a5_c3_n4", "--cover", "SL25"],
+    ["fiber", "h25"],
+]
+
+
 def test_main_frees_the_groups_of_its_command(monkeypatch, tmp_path):
-    # groups and tables reference each other in cycles; a process that runs
-    # many commands must not keep the dead ones of earlier commands
+    # a process that runs many commands must not keep the groups and tables
+    # of earlier ones; with automatic collection off, only reference counting
+    # frees them, so this also finds any reference cycle through them
     built = []
     for cls in (hw.PermGroup, hw.GroupTable):
         original = cls.__init__
@@ -123,10 +138,24 @@ def test_main_frees_the_groups_of_its_command(monkeypatch, tmp_path):
             _original(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", recording)
-    assert main(["goursat", "h25", "--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
-    assert built
-    alive = [r() for r in built if r() is not None]
-    assert alive == []
+    from_arrays = hw.GroupTable.from_arrays
+
+    def recording_from_arrays(*args):
+        table = from_arrays(*args)
+        built.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(hw.GroupTable, "from_arrays", recording_from_arrays)
+    gc.disable()
+    try:
+        for job in _FREEING_JOBS:
+            built.clear()
+            assert main(job + ["--out", str(tmp_path / "r.json")]) == cli.EXIT_OK, job
+            assert built, job
+            alive = [r() for r in built if r() is not None]
+            assert alive == [], job
+    finally:
+        gc.enable()
 
 
 def test_non_central_cover_diagnostic(tmp_path):
@@ -243,19 +272,21 @@ def test_cli_reports_pin_tuple_visits(tmp_path):
 
 
 def test_cli_budget_exhausted_during_enumeration(tmp_path):
-    # C2 with nu = (64): search estimate 1, 63 prefix visits, so the budget
-    # runs out inside the enumeration and not at the estimate
+    # the running visit count alone enforces the budget: one visit short
+    # exits 3, the exact count completes.  C2 with nu = (64) estimates 1
+    # prefix and visits 63; h25 estimates 10,000 and visits 761
     (tmp_path / "c2.json").write_text(
         json.dumps({"name": "C2", "degree": 2, "generators": ["(1 2)"]})
     )
-    param = tmp_path / "c2_64.json"
-    param.write_text(json.dumps({"group": "c2.json", "classes": ["(1 2)"], "nu": [64]}))
-    code, report = run_cli(["fiber", str(param), "--budget-tuples", "62"], tmp_path)
-    assert code == cli.EXIT_BUDGET
-    assert report["budget"] == {"consumed": 63, "budget": 62}
-    code, report = run_cli(["fiber", str(param), "--budget-tuples", "63"], tmp_path)
-    assert code == cli.EXIT_OK
-    assert report["budget"]["tuple_visits"] == 63
+    c2_64 = tmp_path / "c2_64.json"
+    c2_64.write_text(json.dumps({"group": "c2.json", "classes": ["(1 2)"], "nu": [64]}))
+    for param, visits in ((str(c2_64), 63), ("h25", 761)):
+        code, report = run_cli(["fiber", param, "--budget-tuples", str(visits - 1)], tmp_path)
+        assert code == cli.EXIT_BUDGET
+        assert report["budget"] == {"consumed": visits, "budget": visits - 1}
+        code, report = run_cli(["fiber", param, "--budget-tuples", str(visits)], tmp_path)
+        assert code == cli.EXIT_OK
+        assert report["budget"]["tuple_visits"] == visits
 
 
 @pytest.mark.parametrize("name, calls", [("pgl27_22", 1), ("h25", 1), ("a5_c3_n4", 2)])

@@ -258,7 +258,7 @@ def test_enumerate_codes_matches_dfs_oracle_on_random_words(s4, s5, a5, pgl27):
         cids = [int(table.class_id[c]) for c in codes]
         chosen = sorted(set(cids))
         pos_class = [chosen.index(cid) for cid in cids]
-        classes = [table.classes[cid] for cid in chosen]
+        classes = [G.conjugacy_classes()[cid] for cid in chosen]
         estimate = 1
         for ci in pos_class[:-1]:
             estimate *= classes[ci].size
@@ -307,10 +307,12 @@ def test_enumerate_codes_budget_edge(s5, a5, pgl27):
         assert info.value.consumed == 1
 
 
-def test_budget_pre_check(a5, a5_c3):
+def test_budget_exhausted_inside_a_large_enumeration(a5, a5_c3):
+    # 168,421 visits complete this enumeration; the running count stops it
     h = hw.validate_parameter(a5, [a5_c3], [6])
-    with pytest.raises(hw.BudgetError):
+    with pytest.raises(hw.BudgetError) as info:
         hw.enumerate_tuples(h, budget=1000)
+    assert (info.value.consumed, info.value.budget) == (1001, 1000)
 
 
 def test_tuple_set_contains(h25_data):

@@ -20,7 +20,7 @@ import hurwitz as hw
 from hurwitz import PermGroup, Permutation, StabilizerChain, orbit_partition
 from hurwitz.perms import SubgroupCloser
 
-from conftest import class_by_type
+from conftest import class_by_type, cover_group
 
 
 def random_perm(rng, degree):
@@ -339,7 +339,7 @@ def test_closure_codes_matches_bfs_oracle(name, request):
         closed = table.closure_codes(codes)
         assert isinstance(closed, tuple)
         assert list(closed) == expected
-    assert len(table.closure_codes([table.code(g) for g in table.group.generators])) == table.size
+    assert len(table.closure_codes(table.gen_codes)) == table.size
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +473,12 @@ def test_group_table_matches_oracle_on_bundled_groups(name, request):
 
 @pytest.mark.parametrize("name", ["ext_2s5", "ext_2s5_alt", "ext_sl25", "ext_2pgl27", "ext_2s6"])
 def test_group_table_matches_oracle_on_bundled_covers(name, request):
-    assert_table_matches_oracle(request.getfixturevalue(name).cover_group)
+    ext = request.getfixturevalue(name)
+    group = cover_group(ext)
+    assert_table_matches_oracle(group)
+    # the extension's own table is that group's table
+    for field in ("mul", "inv", "class_id"):
+        assert np.array_equal(getattr(ext.table, field), getattr(group.table(), field)), field
 
 
 @pytest.mark.parametrize(
@@ -482,7 +487,8 @@ def test_group_table_matches_oracle_on_bundled_covers(name, request):
 )
 def test_group_table_matches_oracle_on_derived_subgroups(name, request):
     group = request.getfixturevalue(name)
-    group = getattr(group, "cover_group", group)
+    if name.startswith("ext_"):
+        group = cover_group(group)
     assert_table_matches_oracle(group.derived_subgroup())
 
 
@@ -506,6 +512,42 @@ def test_group_table_matches_oracle_on_random_groups():
 def test_group_table_with_empty_or_short_base(group):
     # the trivial groups have an empty chain base, so every gather has no levels
     assert_table_matches_oracle(group)
+
+
+@pytest.mark.parametrize(
+    "name, base, cycle_types, size",
+    [
+        ("ext_2s5", "s5", [(2, 1, 1, 1), (5,)], 120),  # h25
+        ("ext_2s6", "s6", [(4, 2), (2, 1, 1, 1, 1)], 720),  # s6_e_hold
+    ],
+    ids=["h25", "s6_e_hold"],
+)
+def test_reduced_cover_table_matches_permutation_oracles(name, base, cycle_types, size, request):
+    # a reduced cover's table comes from arrays; its element c is the
+    # permutation of the cosets by right multiplication
+    group = request.getfixturevalue(base)
+    classes = [class_by_type(group, t) for t in cycle_types]
+    table = hw.reduce_cover(request.getfixturevalue(name), classes).table
+    assert table.size == size
+    perms = [table.perm(c) for c in range(size)]
+    assert perms[table.identity].is_identity()
+    assert table.order_of.tolist() == [p.order() for p in perms]
+    rng = random.Random(23)
+    for _ in range(300):
+        a, b = rng.randrange(size), rng.randrange(size)
+        assert perms[a] * perms[b] == perms[int(table.mul[a, b])]
+        assert (perms[a] * perms[int(table.inv[a])]).is_identity()
+    code_of = {p.images: c for c, p in enumerate(perms)}
+    assert table.code_of == code_of
+    # classes: orbits of Permutation conjugation by the generators
+    step = [
+        [code_of[p.conjugate_by(perms[g]).images] for p in perms] for g in table.gen_codes
+    ]
+    orbits = bfs_orbits_oracle(step, range(size))
+    assert sorted(sorted(o.tolist()) for o in table.class_codes) == orbits
+    for orbit in orbits:
+        assert len(set(table.class_id[orbit].tolist())) == 1
+    assert len(set(table.class_id.tolist())) == len(orbits)
 
 
 def test_group_table_missing_element_is_internal_error():

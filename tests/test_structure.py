@@ -189,9 +189,9 @@ def test_aut_verify_rejects_non_bijective_map(s5):
     a = aut.maps[1]
     fmap = a.element_map.copy()
     fmap[1] = fmap[0]
-    bad = hw.Automorphism(s5, a.gen_images, fmap, a.inner)
+    bad = hw.Automorphism(s5.table(), a.gen_images, fmap, a.inner)
     with pytest.raises(hw.InputError, match="not a bijection"):
-        hw.AutGroup(s5, [bad], aut.class_action[1:2], aut.inner_count).verify()
+        hw.AutGroup(s5.table(), [bad], aut.class_action[1:2], aut.inner_count).verify()
 
 
 def test_aut_s6_outer(s6):
