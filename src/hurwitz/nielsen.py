@@ -573,21 +573,18 @@ class Fiber:
 
 
 def acting_maps(h, mode):
-    """Element relabeling maps of the acting group for a fiber mode."""
+    """Element relabeling maps of the acting group for a fiber mode, and
+    whether they are exactly the inner maps as a set."""
     table = h.group.table()
     if mode == "inn":
-        return table.inner_maps()
+        return table.inner_maps(), True
     if mode == "aut":
         from .structure import aut_fixing_classes, automorphism_group
 
         aut = aut_fixing_classes(automorphism_group(h.group), h.classes)
-        return aut.element_maps()
+        # Aut(G, C) contains Inn(G), so it is Inn(G) when their orders agree
+        return aut.element_maps(), len(aut.maps) == aut.inner_count
     raise InputError(f"unknown fiber mode {mode!r}; expected 'inn' or 'aut'")
-
-
-def _same_row_set(a, b, m):
-    """True when two (k, m) map arrays hold the same rows, as sets."""
-    return np.array_equal(np.unique(row_keys(a, m)), np.unique(row_keys(b, m)))
 
 
 def build_fiber(h, mode="aut", tuples=None, budget=None):
@@ -601,8 +598,7 @@ def build_fiber(h, mode="aut", tuples=None, budget=None):
     if tuples is None:
         tuples = enumerate_tuples(h, budget=budget)
     table = h.group.table()
-    maps = acting_maps(h, mode)
-    inner = mode == "inn" or _same_row_set(maps, table.inner_maps(), table.size)
+    maps, inner = acting_maps(h, mode)
     if inner and tuples.inn_points is not None:
         rows, keys = tuples.inn_points
     else:

@@ -477,7 +477,7 @@ class AbelianQuotient:
     def __init__(self, group):
         table = group.table()
         self.table = table
-        derived = [table.code(g) for g in group.derived_subgroup().generators]
+        derived = table.derived_gen_codes()
         # the cosets x G' are the orbits of x -> x d; the identity's code 0 is
         # the least code, so its coset is numbered 0
         cosets = orbit_partition(table.mul[:, derived].T)

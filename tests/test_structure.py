@@ -7,9 +7,16 @@ import pytest
 
 import hurwitz as hw
 from hurwitz import PermGroup, Permutation
-from hurwitz.structure import _hom_closure
+from hurwitz import structure
+from hurwitz.structure import (
+    _FINGERPRINT_WORDS,
+    _hom_closure,
+    _pruned_product,
+    _word_order,
+    minimal_generating_sequence,
+)
 
-from conftest import class_by_type
+from conftest import class_by_type, cover_group
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +193,54 @@ def test_aut_s5_all_inner(s5):
 def test_aut_verify_rejects_non_bijective_map(s5):
     aut = hw.automorphism_group(s5)
     assert aut.verify()
-    a = aut.maps[1]
-    fmap = a.element_map.copy()
+    fmap = aut.maps[1].element_map.copy()
     fmap[1] = fmap[0]
-    bad = hw.Automorphism(s5.table(), a.gen_images, fmap, a.inner)
     with pytest.raises(hw.InputError, match="not a bijection"):
-        hw.AutGroup(s5.table(), [bad], aut.class_action[1:2], aut.inner_count).verify()
+        _bad_aut_group(aut, fmap).verify()
+
+
+def _verify_all_products_oracle(aut):
+    """Oracle: f(x*y) = f(x)*f(y) over the whole multiplication table, one
+    map at a time."""
+    mul = aut.table.mul
+    for a in aut.maps:
+        fmap = a.element_map
+        if np.unique(fmap).size != aut.table.size:
+            return False
+        if not np.array_equal(fmap[mul], mul[np.ix_(fmap, fmap)]):
+            return False
+    return True
+
+
+def _bad_aut_group(aut, fmap):
+    a = aut.maps[1]
+    bad = hw.Automorphism(aut.table, a.gen_images, fmap, a.inner)
+    return hw.AutGroup(aut.table, [bad], aut.class_action[1:2], aut.inner_count)
+
+
+def _swapped_images(aut):
+    """A bijection that is no homomorphism: an automorphism with the images
+    of two nonidentity elements exchanged."""
+    fmap = aut.maps[1].element_map.copy()
+    fmap[[1, 2]] = fmap[[2, 1]]
+    return _bad_aut_group(aut, fmap)
+
+
+def _shifted_coset(aut, i):
+    """A bijection with f(x*g) = f(x)*f(g) for the generator g = gen_codes[i]
+    and every x, but no homomorphism: the identity map, except y -> y*g on
+    one left coset y<g> other than <g>.  It fixes more than half the group
+    when |g| < |G|/2, so it is no automorphism."""
+    table = aut.table
+    g = table.gen_codes[i]
+    cyclic = set(table.closure_codes([g]))
+    x = next(c for c in range(table.size) if c not in cyclic)
+    coset = [x]
+    while int(table.mul[coset[-1], g]) != x:
+        coset.append(int(table.mul[coset[-1], g]))
+    fmap = np.arange(table.size, dtype=np.int64)
+    fmap[coset] = table.mul[coset, g]
+    return _bad_aut_group(aut, fmap)
 
 
 def test_aut_s6_outer(s6):
@@ -207,6 +256,164 @@ def test_aut_a5_is_s5(a5):
     assert len(aut.maps) == 120
     assert aut.inner_count == 60
     aut.verify(full=True)
+
+
+@pytest.mark.parametrize("name", ["a5", "s5"])
+def test_verify_generators_matches_all_products_oracle(name, request):
+    aut = hw.automorphism_group(request.getfixturevalue(name))
+    assert aut.verify(full=True)
+    assert _verify_all_products_oracle(aut)
+    gens = aut.table.gen_codes
+    assert len(gens) > 1
+    assert all(2 * aut.table.order_of[g] < aut.table.size for g in gens)
+    for bad in [_swapped_images(aut)] + [_shifted_coset(aut, i) for i in range(len(gens))]:
+        assert bad.verify()
+        assert not _verify_all_products_oracle(bad)
+        with pytest.raises(hw.InputError, match="not a homomorphism"):
+            bad.verify(full=True)
+
+
+def _isomorphisms_oracle(source, target):
+    """Oracle: the exhaustive search that certifies every candidate by its
+    own closure, with the same generators, pools and fingerprints."""
+    if source.order() != target.order():
+        return []
+    ts = source.table()
+    tt = target.table()
+    gens = minimal_generating_sequence(source)
+    gen_codes = [ts.code(g) for g in gens]
+    pools = []
+    for g in gens:
+        key = (g.order(), source.class_of(g).size)
+        pool = [
+            x
+            for c in target.conjugacy_classes()
+            if (c.order(), c.size) == key
+            for x in c.codes.tolist()
+        ]
+        if not pool:
+            return []
+        pools.append(pool)
+    words_by_len = {}
+    for word in _FINGERPRINT_WORDS:
+        if max(word) < len(gens):
+            words_by_len.setdefault(max(word) + 1, []).append(word)
+    source_orders = {
+        word: _word_order(ts, gen_codes, word)
+        for words in words_by_len.values()
+        for word in words
+    }
+
+    def consistent(prefix):
+        return all(
+            _word_order(tt, prefix, word) == source_orders[word]
+            for word in words_by_len.get(len(prefix), ())
+        )
+
+    found = []
+    for chosen in _pruned_product(pools, consistent):
+        fmap = _hom_closure(ts, tt, gen_codes, chosen)
+        if fmap is not None and np.unique(fmap).size == ts.size:
+            found.append(fmap)
+    return found
+
+
+def _aut_fields_oracle(group, maps):
+    """Per automorphism, sorted as `AutGroup.maps`: its element map's bytes,
+    inner flag, class action and generator images, as the search over every
+    map computed them."""
+    table = group.table()
+    inner = {table.inner_maps()[z].astype(np.int64).tobytes() for z in range(table.size)}
+    rep_codes = [table.code(c.representative) for c in group.conjugacy_classes()]
+    out = []
+    for fmap in sorted(maps, key=lambda f: f.tobytes()):
+        out.append((
+            fmap.tobytes(),
+            fmap.tobytes() in inner,
+            tuple(int(table.class_id[int(fmap[rc])]) for rc in rep_codes),
+            tuple(table.elements[int(fmap[c])] for c in table.gen_codes),
+        ))
+    return out
+
+
+def _small_group(name):
+    cycles = {
+        "Q8": (8, ["(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"]),
+        "D8": (4, ["(1 2 3 4)", "(1 3)"]),
+        "C2xC2": (4, ["(1 2)", "(3 4)"]),
+        "C4": (4, ["(1 2 3 4)"]),
+    }
+    degree, gens = cycles[name]
+    return PermGroup.from_cycles(degree, gens, name=name)
+
+
+@pytest.mark.parametrize(
+    "name, order, aut_order",
+    [
+        ("s4", 24, 24),
+        ("s5", 120, 120),
+        ("a5", 60, 120),
+        ("s6", 720, 1440),
+        ("pgl27", 336, 336),
+        ("SL25", 120, 120),
+        ("Q8", 8, 24),
+        ("D8", 8, 8),
+        ("C2xC2", 4, 6),
+        ("C4", 4, 2),
+    ],
+)
+def test_coset_search_matches_isomorphisms_oracle(name, order, aut_order, request):
+    if name == "SL25":
+        group = cover_group(request.getfixturevalue("ext_sl25"))
+    elif name.islower():
+        group = request.getfixturevalue(name)
+    else:
+        group = _small_group(name)
+    assert group.order() == order
+    want = _isomorphisms_oracle(group, group)
+    got = structure.isomorphisms(group, group)
+    assert len(want) == len(got) == aut_order
+    as_bytes = {f.astype(np.int64).tobytes() for f in got}
+    assert as_bytes == {f.tobytes() for f in want}
+    aut = hw.automorphism_group(group)
+    assert [
+        (a.element_map.tobytes(), a.inner, ca, tuple(a.gen_images))
+        for a, ca in zip(aut.maps, aut.class_action)
+    ] == _aut_fields_oracle(group, want)
+    assert sum(a.inner for a in aut.maps) == aut.inner_count
+    assert aut.verify(full=True)
+
+
+def test_coset_search_between_relabeled_groups(a5):
+    # A5 on the points 0..4 carried to other labels of 6 points
+    relabel = [5, 2, 0, 4, 1]
+    gens = []
+    for g in a5.generators:
+        images = list(range(6))
+        for p in range(5):
+            images[relabel[p]] = relabel[g(p)]
+        gens.append(Permutation(images))
+    a5_relabeled = PermGroup(6, gens)
+    want = _isomorphisms_oracle(a5, a5_relabeled)
+    got = structure.isomorphisms(a5, a5_relabeled)
+    assert len(want) == len(got) == 120
+    assert {f.astype(np.int64).tobytes() for f in got} == {f.tobytes() for f in want}
+    # the first map found is the first candidate that closes, as before
+    first = structure.isomorphisms(a5, a5_relabeled, find_all=False)
+    assert len(first) == 1 and np.array_equal(first[0], want[0])
+
+
+@pytest.mark.parametrize("name, closures", [("s6", 2), ("s5", 1), ("a5", 2)])
+def test_coset_search_closure_count(name, closures, request, monkeypatch):
+    group = request.getfixturevalue(name)
+    calls = []
+    closure = structure._hom_closure
+    monkeypatch.setattr(
+        structure, "_hom_closure", lambda *a: calls.append(1) or closure(*a)
+    )
+    maps = structure.isomorphisms(group, group)
+    assert len(calls) == closures
+    assert len(maps) == len(hw.automorphism_group(group).maps)
 
 
 def test_aut_closed_under_composition(a5):
