@@ -25,6 +25,7 @@ from .perms import (
     Permutation,
     StabilizerChain,
     format_cycles,
+    orbit_labels,
     orbit_partition,
     parse_cycles,
 )
@@ -33,6 +34,7 @@ from .structure import (
     Automorphism,
     StructureVerdict,
     aut_fixing_classes,
+    aut_generator_maps,
     automorphism_group,
     centralizer_covers_abelianization,
     derived_orbit_count,

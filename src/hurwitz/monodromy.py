@@ -1,8 +1,8 @@
 """Braid orbits on fibers, monodromy groups, and fullness certification.
 
 The block-preserving braid generators act on a fiber through index
-permutations; their orbits come from the shared level-wise orbit primitive
-(`perms.orbit_partition`) over those index arrays, and the group they
+permutations; their orbits come from the shared orbit-label primitive
+(`perms.orbit_labels`) over those index arrays, and the group they
 generate is the monodromy group of the corresponding cover of
 configuration spaces.  An action on a set X is full
 when its image contains Alt(X); it is quasi-full when the image contains
@@ -36,10 +36,18 @@ from .nielsen import (
     induced_permutation_array,
     _enumerate_codes,
     _class_code_arrays,
-    key_positions,
-    row_keys,
 )
-from .perms import PermGroup, Permutation, SubgroupCloser, orbit_partition
+from .perms import (
+    PermGroup,
+    Permutation,
+    SubgroupCloser,
+    key_positions,
+    label_orbits,
+    orbit_labels,
+    orbit_partition,
+    row_keys,
+    sorted_rows,
+)
 
 # generator products fullness_by_jordan_witness examines before giving up
 _JORDAN_WORD_BUDGET = 4000
@@ -66,18 +74,15 @@ class OrbitPartition:
 
 def _orbits_and_ids(arrays, n):
     """Orbits of index arrays on range(n), by least point, and each point's orbit id."""
-    orbits = orbit_partition(np.array(arrays, dtype=np.int64).reshape(len(arrays), n))
-    orbit_id = np.empty(n, dtype=np.int64)
-    for i, orbit in enumerate(orbits):
-        orbit_id[orbit] = i
-    return orbits, orbit_id
+    labels = orbit_labels(np.reshape(arrays, (len(arrays), n)))
+    orbit_id = np.searchsorted(np.flatnonzero(labels == np.arange(n)), labels)
+    return label_orbits(labels), orbit_id
 
 
 def braid_orbits(fiber, gen_arrays, lift_data=None):
     """Orbits of the generators' index arrays on the fiber, as an OrbitPartition.
 
-    The orbits are found level by level by `orbit_partition` and numbered
-    by least point.
+    The orbits are those of `orbit_labels`, numbered by least point.
     """
     orbits, orbit_id = _orbits_and_ids(gen_arrays, len(fiber))
     members = [tuple(orbit.tolist()) for orbit in orbits]
@@ -546,37 +551,27 @@ def cross_check_braid_orbits(h, budget=None):
     for assign in _assignments(counts):
         rows = _enumerate_codes(table, list(assign), class_codes, budget, counter, closer)
         all_rows.append(rows)
-    superset = np.concatenate(all_rows, axis=0)
+    superset, keys = sorted_rows(np.concatenate(all_rows, axis=0), table.size)
     n = h.n
-    keys = row_keys(superset, table.size)
-    order = np.argsort(keys, kind="stable")
-    superset = superset[order]
-    keys = keys[order]
-    m = len(superset)
     # full braid group generators sigma_1..sigma_{n-1} acting on the superset
     arrays = []
     for i in range(1, n):
         moved = apply_word_codes(superset, (i,), table)
         arrays.append(key_positions(keys, row_keys(moved, table.size)))
-    _, comp = _orbits_and_ids(arrays, m)
+    full = orbit_labels(np.reshape(arrays, (n - 1, len(superset))))
     # restrict to the block-ordered subset and compare with the direct route
     tuples = enumerate_tuples(h, budget=budget)
-    direct_keys = row_keys(tuples.codes, table.size)
-    restricted = comp[key_positions(keys, direct_keys)]
-    sigma_words = braid_nu_generators(h.nu)
-    direct_arrays = []
-    for w in sigma_words:
-        moved = apply_word_codes(tuples.codes, w.letters, table)
-        direct_arrays.append(key_positions(direct_keys, row_keys(moved, table.size)))
-    _, comp2 = _orbits_and_ids(direct_arrays, len(tuples.codes))
-    # the two partitions of the block-ordered tuples must be identical
-    pairing = {}
-    for a, b in zip(restricted, comp2):
-        a, b = int(a), int(b)
-        if pairing.setdefault(a, b) != b:
-            raise InternalCheckError("full braid route splits a block-route orbit")
-    reverse = {}
-    for a, b in pairing.items():
-        if reverse.setdefault(b, a) != a:
-            raise InternalCheckError("block route splits a full-braid orbit")
+    restricted = full[key_positions(keys, tuples.keys)]
+    direct_arrays = [
+        tuples.positions(apply_word_codes(tuples.codes, w.letters, table))
+        for w in braid_nu_generators(h.nu)
+    ]
+    block = orbit_labels(np.reshape(direct_arrays, (len(direct_arrays), len(tuples))))
+    # the two partitions of the block-ordered tuples must be identical: the
+    # distinct (full, block) label pairs are as many as either label alone
+    pairs = np.unique(restricted.astype(np.int64) * len(superset) + block)
+    if len(np.unique(pairs // len(superset))) != len(pairs):
+        raise InternalCheckError("full braid route splits a block-route orbit")
+    if len(np.unique(pairs % len(superset))) != len(pairs):
+        raise InternalCheckError("block route splits a full-braid orbit")
     return True

@@ -20,9 +20,15 @@ memo stores each closure <H, c> for the whole double coset HcH), and the
 last two positions come from joining the leaves with the (a, b) pairs of
 the last two classes sorted by product a*b.
 
-Fibers are tuple sets modulo Inn(G) or Aut(G, C), represented by canonical
-(lexicographically least) orbit representatives.  Hot paths run on numpy
-code arrays; tuples are exposed as objects at the API boundary.
+The tuple set is kept sorted by its row keys, so the lexicographically
+least tuple of any orbit is the orbit's least index.  Fibers are tuple sets
+modulo Inn(G) or Aut(G, C): each tuple is mapped by a small generating set
+of the acting group and located among the keys, the orbits of those index
+arrays give every tuple the least index of its orbit, and the points are
+the tuples whose label is their own index.  A braid word moves the points'
+rows, and the moved rows are located the same way and read off as points.
+Hot paths run on numpy code arrays in the table's code dtype; tuples are
+exposed as objects at the API boundary.
 """
 
 from __future__ import annotations
@@ -31,14 +37,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, InputError, InternalCheckError
-from .perms import ConjugacyClass, Permutation, SubgroupCloser
+from .errors import BudgetError, InputError
+from .perms import (
+    ConjugacyClass,
+    Permutation,
+    SubgroupCloser,
+    conjugation_maps,
+    key_positions,
+    orbit_labels,
+    row_keys,
+    sorted_rows,
+)
 
 DEFAULT_TUPLE_BUDGET = 10**8
 # candidates expanded per gather during enumeration, so a level's temporary
 # arrays stay a few MiB however many tuples the parameter has
 _LEVEL_CHUNK = 1 << 16
-# rows canonicalized per block, for the same reason
+# rows mapped, canonicalized or located per block, for the same reason
 _CANON_CHUNK = 1 << 16
 
 
@@ -239,15 +254,17 @@ def braid_nu_generators(nu):
 
 
 class NielsenTupleSet:
-    """The full tuple set of a parameter, stored as an (N, n) code array."""
+    """The full tuple set of a parameter, stored as an (N, n) code array.
+
+    The rows are sorted on construction by their `row_keys`, which stay in
+    `keys`, so a row's index is one binary search away.
+    """
 
     def __init__(self, h, codes, visits):
         self.h = h
         self.table = h.group.table()
-        self.codes = codes
+        self.codes, self.keys = sorted_rows(codes, self.table.size)
         self.visits = visits
-        # (rows, keys) of the inn fiber once build_fiber has computed it
-        self.inn_points = None
 
     def __len__(self):
         return len(self.codes)
@@ -260,8 +277,15 @@ class NielsenTupleSet:
             yield self.tuple_at(i)
 
     def __contains__(self, t):
-        row = np.array([self.table.code(g) for g in t], dtype=self.codes.dtype)
-        return bool((self.codes == row).all(axis=1).any())
+        if len(t) != self.codes.shape[1]:
+            return False
+        key = row_keys(np.array([[self.table.code(g) for g in t]]), self.table.size)[0]
+        pos = int(np.searchsorted(self.keys, key))
+        return pos < len(self.keys) and self.keys[pos] == key
+
+    def positions(self, rows):
+        """Indices of code rows in the tuple set; every row must be in it."""
+        return key_positions(self.keys, row_keys(rows, self.table.size))
 
 
 def _class_code_arrays(table, classes):
@@ -307,13 +331,13 @@ def _enumerate_codes(table, pos_class, class_codes, budget, counter, closer):
     the leaves with a table of (a, b) pairs sorted by product a*b, and a
     leaf whose subgroup H is not yet the group needs only <H, a>, since
     prefix*a*b = 1 puts b in it.  Returns the rows in lexicographic order,
-    as an (N, n) int64 array.
+    as an (N, n) array in the table's code dtype.
     """
     n = len(pos_class)
     mul, inv = table.mul, table.inv
     m = table.size
     if n == 1:
-        return np.empty((0, 1), dtype=np.int64)
+        return np.empty((0, 1), dtype=mul.dtype)
 
     # reachable[k][x]: x is a product of one element from each position k..n-1
     reachable = [None] * (n + 1)
@@ -386,13 +410,13 @@ def _enumerate_codes(table, pos_class, class_codes, budget, counter, closer):
         grow = np.flatnonzero(~keep)
         keep[grow] = _per_subgroup(closer.extend_pairs(sid[leaf[grow]], a[grow]), closer.is_full)
         leaf, pair = leaf[keep], pair[keep]
-        block = np.empty((len(leaf), n), dtype=np.int64)
+        block = np.empty((len(leaf), n), dtype=mul.dtype)
         block[:, : n - 2] = prefix[leaf]
         block[:, n - 2] = a[keep]
         block[:, n - 1] = pair_b[pair]
         blocks.append(block)
     if not blocks:
-        return np.empty((0, n), dtype=np.int64)
+        return np.empty((0, n), dtype=mul.dtype)
     return np.concatenate(blocks, axis=0)
 
 
@@ -478,8 +502,6 @@ def enumerate_tuples(h, budget=None):
     counter = {"visits": 0}
     codes = _enumerate_codes(table, pos_class, class_codes, budget, counter, SubgroupCloser(table))
     codes = _unsort_blocks(table, codes, h, order, script)
-    if len(codes):
-        codes = codes[np.argsort(row_keys(codes, table.size), kind="stable")]
     return NielsenTupleSet(h, codes, counter["visits"])
 
 
@@ -487,35 +509,16 @@ def enumerate_tuples(h, budget=None):
 # canonical forms and fibers
 
 
-def row_keys(rows, m):
-    """Exact sort keys of (N, n) code rows over a group of order m.
-
-    Each row becomes its codes as big-endian unsigned integers (two bytes
-    when m <= 65536, else four), viewed as one fixed-width np.void value.
-    Byte order of the keys is lexicographic row order at any width, so
-    stable argsort, != and searchsorted on them order rows exactly.
-    """
-    dtype = np.dtype(">u2" if m <= 65536 else ">u4")
-    rows = np.ascontiguousarray(rows, dtype=dtype)
-    return rows.view(np.dtype((np.void, rows.shape[1] * dtype.itemsize))).ravel()
-
-
-def key_positions(sorted_keys, keys):
-    """Positions of row keys in a sorted key array; every key must be there."""
-    pos = np.searchsorted(sorted_keys, keys)
-    if (pos >= len(sorted_keys)).any() or (sorted_keys[pos] != keys).any():
-        raise InternalCheckError("row key missing from its sorted index: enumeration bug")
-    return pos
-
-
 def canonicalize_codes(codes, maps, m):
     """Lexicographic minimum of each row over the acting relabeling maps.
 
     `maps` is an (A, m) array of element relabelings (inner or full
     automorphism maps).  Returns (canonical_rows, row_keys(canonical_rows,
-    m)); exact, the keys being the rows' big-endian bytes.
+    m)); exact, the keys being the rows' big-endian bytes.  The rows are
+    in the maps' dtype.  This walks every map over every row, so the fiber
+    and braid paths do not use it: it serves single tuples and tests.
     """
-    out_rows = np.empty(codes.shape, dtype=np.int64)
+    out_rows = np.empty(codes.shape, dtype=maps.dtype)
     for lo in range(0, len(codes), _CANON_CHUNK):
         # columns as rows: each tuple position is one contiguous array
         block = np.ascontiguousarray(codes[lo : lo + _CANON_CHUNK].T)
@@ -535,19 +538,27 @@ def canonicalize_codes(codes, maps, m):
 class Fiber:
     """Tuples of a parameter modulo Inn(G) (mode "inn") or Aut(G, C) ("aut").
 
-    Points are the lexicographically least orbit representatives, sorted;
-    `keys` holds their row_keys (big-endian row bytes), through which the
-    index maps a canonical row back to its point id exactly.
+    Built from a sorted tuple set and `labels`, the least tuple index of
+    every tuple's orbit under the acting group.  Points are the tuples
+    whose label is their own index, that is the lexicographically least
+    orbit representatives, in sorted order; `rows` and `keys` hold their
+    code rows and row_keys.  `point_of_tuple` (int32) gives the point of
+    every tuple, and `tuple_keys` are the tuple set's sorted keys, so any
+    tuple's point is one key lookup away.  `maps` are all the acting
+    element maps, for canonicalizing arbitrary tuples.
     """
 
-    def __init__(self, h, mode, rows, keys, maps, tuple_count):
+    def __init__(self, h, mode, tuples, labels, maps):
         self.h = h
         self.mode = mode
         self.table = h.group.table()
-        self.rows = rows
-        self.keys = keys
+        reps = np.flatnonzero(labels == np.arange(len(labels)))
+        self.rows = tuples.codes[reps]
+        self.keys = tuples.keys[reps]
+        self.tuple_keys = tuples.keys
+        self.point_of_tuple = np.searchsorted(reps, labels).astype(np.int32)
         self.maps = maps
-        self.tuple_count = tuple_count
+        self.tuple_count = len(tuples)
         self.acting_size = len(maps)
 
     def __len__(self):
@@ -568,51 +579,39 @@ class Fiber:
         rows, _ = self.canonical_codes(row)
         return NielsenTuple(self.table.perm(c) for c in rows[0])
 
-    def index_of_keys(self, keys):
-        return key_positions(self.keys, keys)
-
 
 def acting_maps(h, mode):
-    """Element relabeling maps of the acting group for a fiber mode, and
-    whether they are exactly the inner maps as a set."""
+    """All element maps of the acting group for a fiber mode, and the maps
+    of a generating set of it."""
     table = h.group.table()
     if mode == "inn":
-        return table.inner_maps(), True
+        return table.inner_maps(), conjugation_maps(table.mul, table.inv, table.gen_codes)
     if mode == "aut":
-        from .structure import aut_fixing_classes, automorphism_group
+        from .structure import aut_fixing_classes, aut_generator_maps, automorphism_group
 
         aut = aut_fixing_classes(automorphism_group(h.group), h.classes)
-        # Aut(G, C) contains Inn(G), so it is Inn(G) when their orders agree
-        return aut.element_maps(), len(aut.maps) == aut.inner_count
+        return aut.element_maps(), aut_generator_maps(aut)
     raise InputError(f"unknown fiber mode {mode!r}; expected 'inn' or 'aut'")
 
 
 def build_fiber(h, mode="aut", tuples=None, budget=None):
-    """Canonicalize, deduplicate, sort and index the tuple set of h.
+    """The fiber of h: its tuple set's orbits under the acting group.
 
-    When the acting maps are the inner maps as a set (Aut(G, C) = Inn(G) in
-    mode "aut"), the points are those of the inn fiber: the first such fiber
-    built on a tuple set keeps its rows and keys on it, and later ones reuse
-    them instead of canonicalizing every tuple again.
+    The tuples are mapped by each generator of the acting group, in blocks
+    of `_CANON_CHUNK` rows, and located among the sorted tuple keys; the
+    resulting int32 index arrays go to `orbit_labels`, whose least index
+    per orbit is the lexicographically least tuple of the orbit, since the
+    tuple set is sorted.  So the points equal the canonical forms over all
+    acting maps without mapping any tuple by more than the generators.
     """
     if tuples is None:
         tuples = enumerate_tuples(h, budget=budget)
-    table = h.group.table()
-    maps, inner = acting_maps(h, mode)
-    if inner and tuples.inn_points is not None:
-        rows, keys = tuples.inn_points
-    else:
-        rows, keys = canonicalize_codes(tuples.codes, maps, table.size)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        # gather the kept rows once: a sorted copy of all rows would double the peak
-        keep = order[first]
-        rows, keys = rows[keep], keys[keep]
-        if inner:
-            tuples.inn_points = rows, keys
-    return Fiber(h, mode, rows, keys, maps, len(tuples))
+    maps, gens = acting_maps(h, mode)
+    step = np.empty((len(gens), len(tuples)), dtype=np.int32)
+    for j, g in enumerate(gens):
+        for lo in range(0, len(tuples), _CANON_CHUNK):
+            step[j, lo : lo + _CANON_CHUNK] = tuples.positions(g[tuples.codes[lo : lo + _CANON_CHUNK]])
+    return Fiber(h, mode, tuples, orbit_labels(step), maps)
 
 
 def _apply_letter_codes(codes, letter, table):
@@ -637,10 +636,14 @@ def apply_word_codes(codes, letters, table):
 
 
 def induced_permutation_array(fiber, word):
-    """Index array of the permutation a braid word induces on fiber points."""
+    """Index array of the permutation a braid word induces on fiber points.
+
+    The word moves every point's row to some tuple of the same orbit as the
+    point's image; that tuple is located among the tuple keys and read off
+    through `point_of_tuple`.  Returns an int32 array.
+    """
     moved = apply_word_codes(fiber.rows, word.letters, fiber.table)
-    _, keys = fiber.canonical_codes(moved)
-    return fiber.index_of_keys(keys)
+    return fiber.point_of_tuple[key_positions(fiber.tuple_keys, row_keys(moved, fiber.table.size))]
 
 
 def induced_permutation(fiber, word):

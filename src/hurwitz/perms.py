@@ -478,13 +478,12 @@ class AbelianQuotient:
         table = group.table()
         self.table = table
         derived = table.derived_gen_codes()
-        # the cosets x G' are the orbits of x -> x d; the identity's code 0 is
-        # the least code, so its coset is numbered 0
-        cosets = orbit_partition(table.mul[:, derived].T)
-        self.labels = np.empty(table.size, dtype=np.int64)
-        for i, coset in enumerate(cosets):
-            self.labels[coset] = i
-        rep_codes = [int(coset[0]) for coset in cosets]
+        # the cosets x G' are the orbits of x -> x d, numbered by least code;
+        # the identity's code 0 is the least code, so its coset is numbered 0
+        least = orbit_labels(table.mul[:, derived].T)
+        rep_codes = np.flatnonzero(least == np.arange(table.size))
+        self.labels = np.searchsorted(rep_codes, least)
+        rep_codes = rep_codes.tolist()
         self.reps = [table.elements[c] for c in rep_codes]
         self.size = len(self.reps)
         self._mul = self.labels[table.mul[np.ix_(rep_codes, rep_codes)]].tolist()
@@ -571,20 +570,67 @@ def _ilog(n, p):
     return k
 
 
+def orbit_labels(step):
+    """The least point of the orbit of every point under x -> step[j, x].
+
+    `step` is a (k, m) integer array whose rows are permutations of
+    range(m).  Connected components by the hooking and shortcutting of
+    FastSV (Zhang, Azad and Hu, 2020), with no per-orbit loop: every point
+    holds a label in its own orbit, at most the point itself.  Along every
+    step edge x -- s[x], in both directions, each end's label and the label
+    it points to drop to the other end's grandparent label; then every
+    label jumps to its label's label.  Hooking the labels, not only the
+    points, keeps the number of rounds near log m even on one long cycle,
+    where plain min-label propagation needs rounds in proportion to the
+    cycle length.  At the fixed point each orbit carries its least point.
+    Returns an int32 array of length m (int64 from 2^31 points).
+    """
+    step = np.asarray(step)
+    m = step.shape[1]
+    labels = np.arange(m, dtype=np.int32 if m < 2**31 else np.int64)
+    while True:
+        start = labels.copy()
+        for s in step:
+            parent = labels.copy()
+            grand = parent[parent]
+            across = grand[s]
+            # hook only where it lowers a label: the scatter is the slow part
+            lower = across < grand
+            np.minimum.at(labels, parent[lower], across[lower])
+            lower = grand < across
+            np.minimum.at(labels, parent[s][lower], grand[lower])
+            np.minimum(labels, across, out=labels)
+            labels[s] = np.minimum(labels[s], grand)
+        labels = labels[labels]
+        if np.array_equal(labels, start):
+            return labels
+
+
+def label_orbits(labels):
+    """The orbits an `orbit_labels` array describes, each a sorted int64
+    array, ordered by least point: one stable argsort."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if len(labels) else []
+
+
 def orbit_partition(step, points=None):
     """Orbits of the maps x -> step[j, x] through the listed points.
 
     `step` is a (k, m) integer array whose rows are permutations of
     range(m), so that the orbits partition the points; `points` defaults to
     all m points.  Returns the orbit of every listed point once, each as a
-    sorted int64 array, ordered by least point.  The orbit algorithm of Holt, Eick and
-    O'Brien (Handbook of Computational Group Theory, 4.1), run level by
-    level: the images of a whole frontier are gathered at once and the
-    unseen ones form the next frontier.
+    sorted int64 array, ordered by least point.  All orbits come from
+    `orbit_labels` and `label_orbits`.  Orbits through listed points come
+    from the orbit algorithm of Holt, Eick and O'Brien (Handbook of
+    Computational Group Theory, 4.1), run level by level: the images of a
+    whole frontier are gathered at once and the unseen ones form the next
+    frontier.
     """
     step = np.asarray(step)
     m = step.shape[1]
-    points = range(m) if points is None else np.unique(points).tolist()
+    if points is None:
+        return label_orbits(orbit_labels(step))
+    points = np.unique(points).tolist()
     if len(step) == 0:
         return [np.array([p], dtype=np.int64) for p in points]
     seen = np.zeros(m, dtype=bool)
@@ -603,6 +649,36 @@ def orbit_partition(step, points=None):
         orbits.append(np.sort(np.concatenate(levels)))
     orbits.sort(key=lambda orbit: orbit[0])
     return orbits
+
+
+def row_keys(rows, m):
+    """Exact sort keys of (N, n) code rows over a group of order m.
+
+    Each row becomes its codes as big-endian unsigned integers (two bytes
+    when m <= 65536, else four), viewed as one fixed-width np.void value.
+    Byte order of the keys is lexicographic row order at any width, so
+    stable argsort, != and searchsorted on them order rows exactly.
+    """
+    dtype = np.dtype(">u2" if m <= 65536 else ">u4")
+    rows = np.ascontiguousarray(rows, dtype=dtype)
+    return rows.view(np.dtype((np.void, rows.shape[1] * dtype.itemsize))).ravel()
+
+
+def sorted_rows(rows, m):
+    """(rows in lexicographic order, their row_keys), from one sort of the
+    keys: the sorted keys are the sorted rows' bytes, so no permutation of
+    the rows is gathered."""
+    keys = np.sort(row_keys(rows, m), kind="stable")
+    width = keys.dtype.itemsize // rows.shape[1]
+    return keys.view(f">u{width}").reshape(rows.shape).astype(rows.dtype), keys
+
+
+def key_positions(sorted_keys, keys):
+    """Positions of row keys in a sorted key array; every key must be there."""
+    pos = np.searchsorted(sorted_keys, keys)
+    if (pos >= len(sorted_keys)).any() or (sorted_keys[pos] != keys).any():
+        raise InternalCheckError("row key missing from its sorted index: enumeration bug")
+    return pos
 
 
 def subgroup_codes(mul, identity, codes):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .perms import PermGroup, Permutation
+from .perms import PermGroup, Permutation, conjugation_maps, key_positions, orbit_partition, row_keys
 
 # codes per block of maps in AutGroup.verify: 64 KiB as int64, so that no
 # block is a large temporary
@@ -476,3 +476,42 @@ def aut_fixing_classes(aut, classes):
         [aut.class_action[i] for i in keep],
         aut.inner_count,
     )
+
+
+def aut_generator_maps(aut):
+    """Element maps of a small generating set of an automorphism group.
+
+    `aut` must contain Inn(G), as `automorphism_group` and
+    `aut_fixing_classes` do.  The conjugations by the table's generators
+    come first; they generate Inn(G).  Then the maps of `aut.maps` follow
+    in order, each only when it lies outside the subgroup generated so
+    far, which it therefore at least doubles: there are at most
+    log2 |aut : Inn(G)| of them.  One map per Inn(G)-coset would not do:
+    Inn(C2^4) is trivial and Aut(C2^4) = GL(4, 2) has 20,160 elements.
+    Membership is an orbit of the identity over the indices of `aut.maps`,
+    each map located by its generator images.  Returns a (k, m) array in
+    the table's dtype.
+    """
+    table = aut.table
+    gens = np.asarray(table.gen_codes, dtype=np.int64)
+    maps = aut.element_maps()
+    # an automorphism is determined by its generator images
+    keys = row_keys(maps[:, gens], table.size)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+
+    def after(g):
+        # index of every map followed by g
+        return order[key_positions(keys, row_keys(g[maps[:, gens]], table.size))]
+
+    chosen = list(conjugation_maps(table.mul, table.inv, gens))
+    step = [after(g) for g in chosen]
+    identity = order[key_positions(keys, row_keys(gens[None, :], table.size))]
+    while True:
+        inside = np.zeros(len(maps), dtype=bool)
+        inside[orbit_partition(np.reshape(step, (len(step), len(maps))), identity)[0]] = True
+        outside = np.flatnonzero(~inside)
+        if not len(outside):
+            return np.reshape(chosen, (len(chosen), table.size)).astype(table.mul.dtype)
+        chosen.append(maps[outside[0]])
+        step.append(after(chosen[-1]))

@@ -289,10 +289,21 @@ def test_cli_budget_exhausted_during_enumeration(tmp_path):
         assert report["budget"]["tuple_visits"] == visits
 
 
-@pytest.mark.parametrize("name, calls", [("pgl27_22", 1), ("h25", 1), ("a5_c3_n4", 2)])
-def test_cli_fiber_reuses_inn_points_when_aut_is_inner(name, calls, tmp_path, monkeypatch):
-    # Aut(G, C) acts by inner maps only for pgl27_22 and h25, so the aut fiber
-    # takes the inn fiber's points; Aut(A5, 3-cycles) = S5 needs its own pass
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fiber", "pgl27_22"],
+        ["fiber", "a5_c3_n4"],
+        ["orbits", "a5_c3_n4", "--mode", "both"],
+        ["conway-parker", "a5_c3_n4", "--cover", "SL25"],
+        ["monodromy", "h25", "--cover", "2S5", "--mode", "both"],
+    ],
+    ids=lambda args: "_".join(a for a in args if not a.startswith("-")),
+)
+def test_cli_fiber_paths_canonicalize_nothing(args, tmp_path, monkeypatch):
+    # fibers are orbits of generator index arrays on the sorted tuple set, and
+    # braid arrays read points through point_of_tuple: no tuple is mapped by
+    # every acting map, in either mode, whether or not Aut(G, C) = Inn(G)
     from hurwitz import nielsen
 
     counted = []
@@ -300,13 +311,12 @@ def test_cli_fiber_reuses_inn_points_when_aut_is_inner(name, calls, tmp_path, mo
     monkeypatch.setattr(
         nielsen, "canonicalize_codes", lambda *a, **k: counted.append(1) or canonicalize(*a, **k)
     )
-    param = name
-    if name == "pgl27_22":
-        param = str(tmp_path / "pgl27_22.json")
-        Path(param).write_text(json.dumps(_PGL27_22))
-    code, report = run_cli(["fiber", param], tmp_path)
+    if args[1] == "pgl27_22":
+        args = [args[0], str(tmp_path / "pgl27_22.json"), *args[2:]]
+        Path(args[1]).write_text(json.dumps(_PGL27_22))
+    code, report = run_cli(args, tmp_path)
     assert code == cli.EXIT_OK
-    assert len(counted) == calls
+    assert counted == []
 
 
 def test_cli_internal_check_exit_4(tmp_path, monkeypatch):

@@ -17,8 +17,10 @@ from hurwitz.nielsen import (
     _class_code_arrays,
     _enumerate_codes,
     _sorted_block_arrangement,
+    apply_word_codes,
     canonicalize_codes,
     induced_permutation_array,
+    key_positions,
     row_keys,
 )
 from hurwitz.perms import SubgroupCloser
@@ -203,7 +205,7 @@ def _assert_matches_dfs_oracle(table, pos_class, class_codes):
     want = _dfs_oracle(table, pos_class, class_codes, 10**9, want_counter)
     counter = {"visits": 0}
     got = _enumerate_codes(table, pos_class, class_codes, 10**9, counter, SubgroupCloser(table))
-    assert got.dtype == np.int64 and got.shape == (len(want), len(pos_class))
+    assert got.dtype == table.mul.dtype and got.shape == (len(want), len(pos_class))
     assert np.array_equal(_sorted_rows(got), _sorted_rows(want))
     assert counter == want_counter
     return got, counter["visits"]
@@ -317,8 +319,11 @@ def test_budget_exhausted_inside_a_large_enumeration(a5, a5_c3):
 
 def test_tuple_set_contains(h25_data):
     ts = h25_data["tuples"]
+    assert all(ts.tuple_at(i) in ts for i in (0, 17, len(ts) - 1))
     t = ts.tuple_at(17)
-    assert t in ts
+    # the identity lies in no class of h25, and lengths must agree
+    assert NielsenTuple([t[0].inverse() * t[0], *t.entries[1:]]) not in ts
+    assert NielsenTuple(t.entries[:4]) not in ts
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +499,57 @@ def test_canonicalize_codes_matches_brute_force_s6(s6, width):
     for k in (keys, row_keys(rows, 1 << 17)):
         by_key = rows[np.argsort(k, kind="stable")]
         assert [tuple(int(c) for c in r) for r in by_key] == sorted(expected)
+
+
+def _canonical_fiber_oracle(tuples, maps, words):
+    """Oracle: the fiber by canonicalizing every tuple over all acting maps,
+    deduplicating and sorting, and each braid array by canonicalizing the
+    moved points; returns (rows, keys, point of every tuple, arrays)."""
+    m = tuples.table.size
+    canon, canon_keys = canonicalize_codes(tuples.codes, maps, m)
+    order = np.argsort(canon_keys, kind="stable")
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = canon_keys[order][1:] != canon_keys[order][:-1]
+    rows, keys = canon[order[first]], canon_keys[order[first]]
+    arrays = []
+    for w in words:
+        _, moved_keys = canonicalize_codes(apply_word_codes(rows, w.letters, tuples.table), maps, m)
+        arrays.append(key_positions(keys, moved_keys))
+    return rows, keys, key_positions(keys, canon_keys), arrays
+
+
+_A5_FIVE_CYCLES = ("(1 2 3 4 5)", "(1 3 5 2 4)")
+
+
+@pytest.mark.parametrize(
+    "name, modes",
+    [
+        (name, ("inn", "aut"))
+        for name in ("h25", "a5_c3_n4", "a5_c3_n5", "s6_41", "s5_212", "s5_221", "pgl27_22", "s4_42", "s5_mix")
+    ]
+    + [("a5_55", ("inn", "aut")), ("a5_c3_n6", ("inn",))],
+)
+def test_fiber_matches_canonical_fiber_oracle(name, modes, request):
+    if name == "a5_55":
+        G = request.getfixturevalue("a5")
+        classes = [G.class_of(Permutation.from_cycles(c, 5)) for c in _A5_FIVE_CYCLES]
+        h = hw.validate_parameter(G, classes, [2, 3])
+    else:
+        group_name, types, nu, _ = _ORACLE_CASES[name]
+        G = request.getfixturevalue(group_name.lower())
+        h = hw.validate_parameter(G, [class_by_type(G, t) for t in types], nu)
+    tuples = hw.enumerate_tuples(h)
+    words = braid_nu_generators(h.nu)
+    for mode in modes:
+        fiber = hw.build_fiber(h, mode, tuples=tuples)
+        rows, keys, points, arrays = _canonical_fiber_oracle(tuples, fiber.maps, words)
+        assert fiber.rows.dtype == G.table().mul.dtype
+        assert np.array_equal(fiber.rows, rows)
+        assert fiber.keys.tobytes() == keys.tobytes()
+        assert np.array_equal(fiber.point_of_tuple, points)
+        for w, want in zip(words, arrays):
+            got = induced_permutation_array(fiber, w)
+            assert got.dtype == np.int32 and np.array_equal(got, want)
 
 
 def test_induced_permutation_identity_and_inverse(h25_data):

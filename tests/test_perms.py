@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hurwitz as hw
-from hurwitz import PermGroup, Permutation, StabilizerChain, orbit_partition
-from hurwitz.perms import SubgroupCloser
+from hurwitz import PermGroup, Permutation, StabilizerChain, orbit_labels, orbit_partition
+from hurwitz.perms import SubgroupCloser, conjugation_maps
 
 from conftest import class_by_type, cover_group
 
@@ -310,12 +310,42 @@ def test_orbit_partition_matches_bfs_oracle():
         k = int(rng.integers(0, 4))
         m = int(rng.integers(1, 40))
         step = random_step(rng, k, m)
+        want = bfs_orbits_oracle(step, range(m))
         got = [orbit.tolist() for orbit in orbit_partition(step)]
-        assert got == bfs_orbits_oracle(step, range(m))
+        assert got == want
         assert all(orbit.dtype == np.int64 for orbit in orbit_partition(step))
+        assert orbit_labels(step).tolist() == _labels_of(want, m)
         points = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
         got = [orbit.tolist() for orbit in orbit_partition(step, points)]
         assert got == bfs_orbits_oracle(step, points.tolist())
+
+
+def _labels_of(orbits, m):
+    labels = [None] * m
+    for orbit in orbits:
+        for x in orbit:
+            labels[x] = min(orbit)
+    return labels
+
+
+def test_orbit_labels_long_cycles_and_many_orbits():
+    rng = np.random.default_rng(5)
+    # one long cycle through shuffled points, plus a second map
+    m = 3000
+    order = rng.permutation(m)
+    cycle = np.empty(m, dtype=np.int64)
+    cycle[order] = np.roll(order, -1)
+    for step in (cycle[None], np.argsort(cycle)[None], np.array([cycle, rng.permutation(m)])):
+        assert orbit_labels(step).tolist() == _labels_of(bfs_orbits_oracle(step, range(m)), m)
+    # the 1,024 classes of C2^10 are singletons
+    g = PermGroup(20, [Permutation.from_cycles(f"({2 * i + 1} {2 * i + 2})", 20) for i in range(10)])
+    table = g.table()
+    step = conjugation_maps(table.mul, table.inv, table.gen_codes)
+    labels = orbit_labels(step)
+    assert labels.dtype == np.int32
+    assert labels.tolist() == _labels_of(bfs_orbits_oracle(step, range(table.size)), table.size)
+    assert labels.tolist() == list(range(1024))
+    assert [c.size for c in g.conjugacy_classes()] == [1] * 1024
 
 
 def test_orbit_partition_edge_cases():

@@ -482,6 +482,53 @@ def test_aut_fixing_empty_list_is_whole_group(s6):
     assert len(hw.aut_fixing_classes(aut, []).maps) == 1440
 
 
+def _generated_maps_oracle(gens):
+    """Oracle: every product of the generator maps, by breadth-first search
+    over map bytes."""
+    identity = np.arange(gens.shape[1], dtype=gens.dtype)
+    seen = {identity.tobytes()}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = g[x]
+                if y.tobytes() not in seen:
+                    seen.add(y.tobytes())
+                    new.append(y)
+        frontier = new
+    return seen
+
+
+@pytest.mark.parametrize(
+    "name, types, outer",
+    [
+        ("a5", [(3, 1, 1)], 2),
+        ("s6", [(4, 1, 1), (4, 2)], 2),
+        ("s6", [(2, 1, 1, 1, 1)], 1),
+        ("s5", [(2, 1, 1, 1)], 1),
+        ("pgl27", [(3, 3, 1, 1)], 1),
+        ("c2_cubed", [], 168),
+    ],
+)
+def test_aut_generator_maps_generate_aut_fixing_classes(name, types, outer, request):
+    if name == "c2_cubed":
+        # elementary abelian: Inn is trivial and Aut is GL(3, 2)
+        G = PermGroup.from_cycles(6, ["(1 2)", "(3 4)", "(5 6)"])
+    else:
+        G = request.getfixturevalue(name)
+    aut = hw.aut_fixing_classes(hw.automorphism_group(G), [class_by_type(G, t) for t in types])
+    assert aut.outer_order() == outer
+    gens = hw.aut_generator_maps(aut)
+    table = G.table()
+    assert gens.dtype == table.mul.dtype
+    assert _generated_maps_oracle(gens) == {row.tobytes() for row in aut.element_maps()}
+    # the inner conjugations first; every outer map at least doubles the group
+    inner = len(table.gen_codes)
+    assert np.array_equal(gens[:inner], structure.conjugation_maps(table.mul, table.inv, table.gen_codes))
+    assert 2 ** (len(gens) - inner) <= outer
+
+
 def test_find_isomorphism():
     A = PermGroup.from_cycles(5, ["(1 2 3)", "(3 4 5)"])
     iso = hw.find_isomorphism(A, A)
