@@ -2,10 +2,10 @@
 
 Subcommands: validate, fiber, orbits, monodromy, classify, condition-e,
 conway-parker, goursat, mass.  All output is JSON (stdout or --out);
-big integers are decimal strings, reports embed the sha256 digest of every
-input file and the enumeration budget actually consumed, and equal
-configurations produce byte-identical reports.  --threads is accepted
-for compatibility and has no effect.
+big integers are decimal strings of any length, reports embed the sha256
+digest of every input file and the enumeration budget actually consumed,
+and equal configurations produce byte-identical reports.  --threads is
+accepted for compatibility and has no effect.
 
 Exit codes: 0 success, 2 invalid input, 3 budget exhaustion, 4 a failed
 internal consistency check (a bug; the report carries "internal": true).
@@ -31,6 +31,7 @@ from .io import load_cover_file, load_group_file, parse_inputs, resolve_referenc
 from .monodromy import (
     braid_orbits,
     conway_parker_report,
+    decimal_digits,
     fiber_generator_arrays,
     mass_report,
     monodromy_group,
@@ -108,15 +109,15 @@ def cmd_validate(args):
     report = _base_report(args, [path] + ([resolve_reference(args.cover, "covers")] if args.cover else []))
     result = {
         "valid": True,
-        "group": {"name": pinput.group.name, "degree": pinput.group.degree, "order": str(pinput.group.order())},
+        "group": {"name": pinput.group.name, "degree": pinput.group.degree, "order": decimal_digits(pinput.group.order())},
         "classes": [_class_descriptor(c) for c in pinput.classes],
     }
     if pinput.nu is not None:
         result["nu"] = list(pinput.nu)
         result["n"] = pinput.parameter.n
-        result["search_size_estimate"] = str(pinput.parameter.search_size_estimate())
+        result["search_size_estimate"] = decimal_digits(pinput.parameter.search_size_estimate())
     if ext is not None:
-        result["cover"] = {"order": str(ext.size), "kernel_order": ext.kernel_order()}
+        result["cover"] = {"order": decimal_digits(ext.size), "kernel_order": ext.kernel_order()}
     report["result"] = result
     return report
 
@@ -127,7 +128,7 @@ def cmd_fiber(args):
     report = _base_report(args, [path])
     h, tuples = _enumerate(pinput, args, report)
     f_inn = build_fiber(h, "inn", tuples=tuples)
-    f_aut = build_fiber(h, "aut", tuples=tuples)
+    f_aut = build_fiber(h, "aut", inn=f_inn)
     report["result"] = {
         "tuple_count": len(tuples),
         "fiber_inn": len(f_inn),
@@ -136,10 +137,14 @@ def cmd_fiber(args):
     return report
 
 
-def _modes(args):
-    if args.mode == "both":
-        return ["inn", "aut"]
-    return [args.mode]
+def _fibers(h, tuples, args):
+    """(mode, fiber) for each mode asked for; with both, the aut fiber is
+    built on the inn fiber."""
+    inn = None
+    for mode in ["inn", "aut"] if args.mode == "both" else [args.mode]:
+        fiber = build_fiber(h, mode, tuples=tuples, inn=inn)
+        inn = fiber if mode == "inn" else None
+        yield mode, fiber
 
 
 def _orbit_payload(h, fiber, ext, args):
@@ -175,8 +180,7 @@ def cmd_orbits(args):
     report = _base_report(args, [p for p in (path, cover_path) if p])
     h, tuples = _enumerate(pinput, args, report)
     result = {}
-    for mode in _modes(args):
-        fiber = build_fiber(h, mode, tuples=tuples)
+    for mode, fiber in _fibers(h, tuples, args):
         _, _, _, payload, _ = _orbit_payload(h, fiber, ext, args)
         result[mode] = payload
     report["result"] = result
@@ -190,8 +194,7 @@ def cmd_monodromy(args):
     report = _base_report(args, [p for p in (path, cover_path) if p])
     h, tuples = _enumerate(pinput, args, report)
     result = {}
-    for mode in _modes(args):
-        fiber = build_fiber(h, mode, tuples=tuples)
+    for mode, fiber in _fibers(h, tuples, args):
         lift = None
         if ext is not None and mode == "inn":
             lift = LiftData(reduce_cover(ext, h.classes), h)
@@ -315,7 +318,7 @@ def cmd_mass(args):
     report = _base_report(args, [p for p in (path, cover_path) if p])
     h, tuples = _enumerate(pinput, args, report)
     f_inn = build_fiber(h, "inn", tuples=tuples)
-    f_aut = build_fiber(h, "aut", tuples=tuples)
+    f_aut = build_fiber(h, "aut", inn=f_inn)
     shares = None
     kernel_order = None
     if ext is not None:

@@ -40,12 +40,11 @@ from .nielsen import (
 from .perms import (
     PermGroup,
     Permutation,
+    RowIndex,
     SubgroupCloser,
-    key_positions,
     label_orbits,
     orbit_labels,
     orbit_partition,
-    row_keys,
     sorted_rows,
 )
 
@@ -100,6 +99,25 @@ def braid_orbits(fiber, gen_arrays, lift_data=None):
     return OrbitPartition(orbit_id, sizes, tuple(members), labels)
 
 
+# digits per piece of `decimal_digits`, below the interpreter's default
+# limit of 4300 digits for converting an int to a string
+_DECIMAL_PIECE = 4000
+
+
+def decimal_digits(n):
+    """The decimal digits of a nonnegative int, at any length.
+
+    Python refuses str() of an int above 4300 digits unless the limit is
+    raised for the whole process, which a library must not do; orders of
+    full actions on 1559 or more points are that long.  The int is split
+    by divmod into pieces below the limit, the lower ones zero-padded.
+    """
+    high, low = divmod(n, 10**_DECIMAL_PIECE)
+    if not high:
+        return str(low)
+    return decimal_digits(high) + str(low).zfill(_DECIMAL_PIECE)
+
+
 @dataclass
 class OrbitVerdict:
     size: int
@@ -127,11 +145,11 @@ class MonodromyReport:
             "fiber_size": self.fiber_size,
             "mode": self.mode,
             "orbit_sizes": list(self.orbits.orbit_sizes),
-            "group_order": str(self.group_order),
+            "group_order": decimal_digits(self.group_order),
             "per_orbit": [
                 {
                     "size": v.size,
-                    "order": str(v.group_order),
+                    "order": decimal_digits(v.group_order),
                     "full": v.full,
                     **({"blocks": [list(b) for b in v.blocks]} if v.blocks else {}),
                 }
@@ -150,7 +168,7 @@ def fiber_generator_arrays(fiber, words=None):
     """Index-permutation arrays of the braid generators on a fiber."""
     if words is None:
         words = braid_nu_generators(fiber.h.nu)
-    return words, [induced_permutation_array(fiber, w) for w in words]
+    return words, list(induced_permutation_array(fiber, words))
 
 
 def _restriction_perms(arrays, points):
@@ -551,17 +569,15 @@ def cross_check_braid_orbits(h, budget=None):
     for assign in _assignments(counts):
         rows = _enumerate_codes(table, list(assign), class_codes, budget, counter, closer)
         all_rows.append(rows)
-    superset, keys = sorted_rows(np.concatenate(all_rows, axis=0), table.size)
+    superset = sorted_rows(np.concatenate(all_rows, axis=0))
+    index = RowIndex(superset, table.size)
     n = h.n
     # full braid group generators sigma_1..sigma_{n-1} acting on the superset
-    arrays = []
-    for i in range(1, n):
-        moved = apply_word_codes(superset, (i,), table)
-        arrays.append(key_positions(keys, row_keys(moved, table.size)))
+    arrays = [index.positions(apply_word_codes(superset, (i,), table)) for i in range(1, n)]
     full = orbit_labels(np.reshape(arrays, (n - 1, len(superset))))
     # restrict to the block-ordered subset and compare with the direct route
     tuples = enumerate_tuples(h, budget=budget)
-    restricted = full[key_positions(keys, tuples.keys)]
+    restricted = full[index.positions(tuples.codes)]
     direct_arrays = [
         tuples.positions(apply_word_codes(tuples.codes, w.letters, table))
         for w in braid_nu_generators(h.nu)

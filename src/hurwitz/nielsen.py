@@ -20,15 +20,19 @@ memo stores each closure <H, c> for the whole double coset HcH), and the
 last two positions come from joining the leaves with the (a, b) pairs of
 the last two classes sorted by product a*b.
 
-The tuple set is kept sorted by its row keys, so the lexicographically
-least tuple of any orbit is the orbit's least index.  Fibers are tuple sets
-modulo Inn(G) or Aut(G, C): each tuple is mapped by a small generating set
-of the acting group and located among the keys, the orbits of those index
-arrays give every tuple the least index of its orbit, and the points are
-the tuples whose label is their own index.  A braid word moves the points'
-rows, and the moved rows are located the same way and read off as points.
-Hot paths run on numpy code arrays in the table's code dtype; tuples are
-exposed as objects at the API boundary.
+The tuple set is kept sorted, so the lexicographically least tuple of any
+orbit is the orbit's least index, and a prefix-rank index over its rows
+(`perms.RowIndex`) locates any tuple by one gather per column.  Fibers are
+tuple sets modulo Inn(G) or Aut(G, C).  The inn fiber maps every tuple by
+the conjugations by the group's generators and locates the images in the
+index; the orbits of those index arrays give every tuple the least index
+of its orbit, and the points are the tuples whose label is their own index.
+The aut fiber is the same construction one level up: the outer generators
+of Aut(G, C) move the inn points' rows, the moved rows are read back as inn
+points, and their orbits on the inn points give the aut points.  A braid
+word moves the points' rows, and the moved rows are located the same way
+and read off as points.  Hot paths run on numpy code arrays in the table's
+code dtype; tuples are exposed as objects at the API boundary.
 """
 
 from __future__ import annotations
@@ -37,13 +41,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, InternalCheckError
 from .perms import (
+    _CANON_CHUNK,
     ConjugacyClass,
     Permutation,
+    RowIndex,
     SubgroupCloser,
     conjugation_maps,
-    key_positions,
     orbit_labels,
     row_keys,
     sorted_rows,
@@ -53,8 +58,6 @@ DEFAULT_TUPLE_BUDGET = 10**8
 # candidates expanded per gather during enumeration, so a level's temporary
 # arrays stay a few MiB however many tuples the parameter has
 _LEVEL_CHUNK = 1 << 16
-# rows mapped, canonicalized or located per block, for the same reason
-_CANON_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +259,15 @@ def braid_nu_generators(nu):
 class NielsenTupleSet:
     """The full tuple set of a parameter, stored as an (N, n) code array.
 
-    The rows are sorted on construction by their `row_keys`, which stay in
-    `keys`, so a row's index is one binary search away.
+    The rows are sorted on construction, and `index`, a `RowIndex` over
+    them, gives any row's position.
     """
 
     def __init__(self, h, codes, visits):
         self.h = h
         self.table = h.group.table()
-        self.codes, self.keys = sorted_rows(codes, self.table.size)
+        self.codes = sorted_rows(codes)
+        self.index = RowIndex(self.codes, self.table.size)
         self.visits = visits
 
     def __len__(self):
@@ -279,13 +283,15 @@ class NielsenTupleSet:
     def __contains__(self, t):
         if len(t) != self.codes.shape[1]:
             return False
-        key = row_keys(np.array([[self.table.code(g) for g in t]]), self.table.size)[0]
-        pos = int(np.searchsorted(self.keys, key))
-        return pos < len(self.keys) and self.keys[pos] == key
+        try:
+            self.positions(np.array([[self.table.code(g) for g in t]]))
+        except InternalCheckError:
+            return False
+        return True
 
     def positions(self, rows):
         """Indices of code rows in the tuple set; every row must be in it."""
-        return key_positions(self.keys, row_keys(rows, self.table.size))
+        return self.index.positions(rows)
 
 
 def _class_code_arrays(table, classes):
@@ -515,8 +521,8 @@ def canonicalize_codes(codes, maps, m):
     `maps` is an (A, m) array of element relabelings (inner or full
     automorphism maps).  Returns (canonical_rows, row_keys(canonical_rows,
     m)); exact, the keys being the rows' big-endian bytes.  The rows are
-    in the maps' dtype.  This walks every map over every row, so the fiber
-    and braid paths do not use it: it serves single tuples and tests.
+    in the maps' dtype.  This walks every map over every row, so no fiber
+    or braid path uses it: it is the oracle the tests check fibers against.
     """
     out_rows = np.empty(codes.shape, dtype=maps.dtype)
     for lo in range(0, len(codes), _CANON_CHUNK):
@@ -538,28 +544,22 @@ def canonicalize_codes(codes, maps, m):
 class Fiber:
     """Tuples of a parameter modulo Inn(G) (mode "inn") or Aut(G, C) ("aut").
 
-    Built from a sorted tuple set and `labels`, the least tuple index of
-    every tuple's orbit under the acting group.  Points are the tuples
-    whose label is their own index, that is the lexicographically least
-    orbit representatives, in sorted order; `rows` and `keys` hold their
-    code rows and row_keys.  `point_of_tuple` (int32) gives the point of
-    every tuple, and `tuple_keys` are the tuple set's sorted keys, so any
-    tuple's point is one key lookup away.  `maps` are all the acting
-    element maps, for canonicalizing arbitrary tuples.
+    Points are the tuples that are the least of their orbit under the
+    acting group, in sorted order; `rows` holds their code rows.
+    `point_of_tuple` (int32) gives the point of every tuple, and `index` is
+    the tuple set's `RowIndex`, so any tuple's point is one lookup away.
+    `acting_size` is the order of the acting group.
     """
 
-    def __init__(self, h, mode, tuples, labels, maps):
+    def __init__(self, h, mode, rows, point_of_tuple, index, acting_size):
         self.h = h
         self.mode = mode
         self.table = h.group.table()
-        reps = np.flatnonzero(labels == np.arange(len(labels)))
-        self.rows = tuples.codes[reps]
-        self.keys = tuples.keys[reps]
-        self.tuple_keys = tuples.keys
-        self.point_of_tuple = np.searchsorted(reps, labels).astype(np.int32)
-        self.maps = maps
-        self.tuple_count = len(tuples)
-        self.acting_size = len(maps)
+        self.rows = rows
+        self.point_of_tuple = point_of_tuple
+        self.index = index
+        self.tuple_count = len(point_of_tuple)
+        self.acting_size = acting_size
 
     def __len__(self):
         return len(self.rows)
@@ -570,48 +570,73 @@ class Fiber:
     def points(self):
         return [self.point(i) for i in range(len(self.rows))]
 
-    def canonical_codes(self, codes):
-        rows, keys = canonicalize_codes(codes, self.maps, self.table.size)
-        return rows, keys
-
     def canonicalize_tuple(self, t):
-        row = np.array([[self.table.code(g) for g in t]], dtype=np.int64)
-        rows, _ = self.canonical_codes(row)
-        return NielsenTuple(self.table.perm(c) for c in rows[0])
+        """The point of t's orbit; InputError when t is not in the tuple set."""
+        n = self.rows.shape[1]
+        if len(t) != n:
+            raise InputError(f"tuple of length {len(t)} in a fiber of {n}-tuples")
+        try:
+            pos = self.index.positions(np.array([[self.table.code(g) for g in t]]))
+        except InternalCheckError:
+            raise InputError("tuple is not in the parameter's tuple set") from None
+        return NielsenTuple(self.table.perm(c) for c in self.rows[self.point_of_tuple[pos[0]]])
 
 
-def acting_maps(h, mode):
-    """All element maps of the acting group for a fiber mode, and the maps
-    of a generating set of it."""
-    table = h.group.table()
-    if mode == "inn":
-        return table.inner_maps(), conjugation_maps(table.mul, table.inv, table.gen_codes)
-    if mode == "aut":
-        from .structure import aut_fixing_classes, aut_generator_maps, automorphism_group
-
-        aut = aut_fixing_classes(automorphism_group(h.group), h.classes)
-        return aut.element_maps(), aut_generator_maps(aut)
-    raise InputError(f"unknown fiber mode {mode!r}; expected 'inn' or 'aut'")
+def _mapped_positions(index, rows, maps):
+    """Positions in `index` of the rows relabeled by each element map, as a
+    (len(maps), len(rows)) array, located in blocks of `_CANON_CHUNK` rows."""
+    out = np.empty((len(maps), len(rows)), dtype=index.rank_dtype)
+    for j, amap in enumerate(maps):
+        for lo in range(0, len(rows), _CANON_CHUNK):
+            out[j, lo : lo + _CANON_CHUNK] = index.positions(amap[rows[lo : lo + _CANON_CHUNK]])
+    return out
 
 
-def build_fiber(h, mode="aut", tuples=None, budget=None):
+def _orbit_points(labels):
+    """The members whose label is their own index (the least of each orbit),
+    and the number of every member's orbit among them, int32."""
+    reps = np.flatnonzero(labels == np.arange(len(labels)))
+    return reps, np.searchsorted(reps, labels).astype(np.int32)
+
+
+def build_fiber(h, mode="aut", tuples=None, budget=None, inn=None):
     """The fiber of h: its tuple set's orbits under the acting group.
 
-    The tuples are mapped by each generator of the acting group, in blocks
-    of `_CANON_CHUNK` rows, and located among the sorted tuple keys; the
-    resulting int32 index arrays go to `orbit_labels`, whose least index
-    per orbit is the lexicographically least tuple of the orbit, since the
-    tuple set is sorted.  So the points equal the canonical forms over all
-    acting maps without mapping any tuple by more than the generators.
+    The inn fiber maps the tuples by the conjugations by the table's
+    generators, in blocks of `_CANON_CHUNK` rows, and locates the images in
+    the tuple set's `RowIndex`; the resulting index arrays go to
+    `orbit_labels`, whose least index per orbit is the lexicographically
+    least tuple of the orbit, since the tuple set is sorted.  So the points
+    equal the canonical forms over all acting maps without mapping any
+    tuple by more than the generators.  The aut fiber is built on the inn
+    fiber, whose points are the Inn(G)-orbits: the outer generators of
+    Aut(G, C) (`aut_generator_maps` after its inner conjugations) move the
+    inn points' rows, `point_of_tuple` reads the moved rows back as inn
+    points, and the least inn point of each orbit of those arrays, which
+    is the least tuple of its Aut(G, C)-orbit, is an aut point.  `inn`, an
+    inn fiber of the same tuple set, saves building it again.
     """
-    if tuples is None:
-        tuples = enumerate_tuples(h, budget=budget)
-    maps, gens = acting_maps(h, mode)
-    step = np.empty((len(gens), len(tuples)), dtype=np.int32)
-    for j, g in enumerate(gens):
-        for lo in range(0, len(tuples), _CANON_CHUNK):
-            step[j, lo : lo + _CANON_CHUNK] = tuples.positions(g[tuples.codes[lo : lo + _CANON_CHUNK]])
-    return Fiber(h, mode, tuples, orbit_labels(step), maps)
+    if mode not in ("inn", "aut"):
+        raise InputError(f"unknown fiber mode {mode!r}; expected 'inn' or 'aut'")
+    table = h.group.table()
+    if inn is None:
+        if tuples is None:
+            tuples = enumerate_tuples(h, budget=budget)
+        gens = conjugation_maps(table.mul, table.inv, table.gen_codes)
+        step = _mapped_positions(tuples.index, tuples.codes, gens)
+        reps, point_of_tuple = _orbit_points(orbit_labels(step))
+        # |Inn(G)| = |G| / |Z(G)|, the center being the classes of size one
+        inn_order = table.size // sum(len(c) == 1 for c in table.class_codes)
+        inn = Fiber(h, "inn", tuples.codes[reps], point_of_tuple, tuples.index, inn_order)
+    if mode == "inn":
+        return inn
+    from .structure import aut_fixing_classes, aut_generator_maps, automorphism_group
+
+    aut = aut_fixing_classes(automorphism_group(h.group), h.classes)
+    outer = aut_generator_maps(aut)[len(table.gen_codes) :]
+    step = inn.point_of_tuple[_mapped_positions(inn.index, inn.rows, outer)]
+    reps, point_of_inn = _orbit_points(orbit_labels(step))
+    return Fiber(h, "aut", inn.rows[reps], point_of_inn[inn.point_of_tuple], inn.index, aut.order)
 
 
 def _apply_letter_codes(codes, letter, table):
@@ -635,17 +660,27 @@ def apply_word_codes(codes, letters, table):
     return out
 
 
-def induced_permutation_array(fiber, word):
-    """Index array of the permutation a braid word induces on fiber points.
+def induced_permutation_array(fiber, words):
+    """Index arrays of the permutations braid words induce on fiber points.
 
-    The word moves every point's row to some tuple of the same orbit as the
-    point's image; that tuple is located among the tuple keys and read off
-    through `point_of_tuple`.  Returns an int32 array.
+    A word moves every point's row to some tuple of the same orbit as the
+    point's image; that tuple is located in the tuple set's `RowIndex` and
+    read off through `point_of_tuple`.  The moved rows of as many words as
+    fit in `_CANON_CHUNK` rows go to one index call, so a small fiber pays
+    the per-level cost of a lookup once, not once per word.  Returns a
+    (len(words), len(fiber)) int32 array.
     """
-    moved = apply_word_codes(fiber.rows, word.letters, fiber.table)
-    return fiber.point_of_tuple[key_positions(fiber.tuple_keys, row_keys(moved, fiber.table.size))]
+    words = list(words)
+    out = np.empty((len(words), len(fiber)), dtype=np.int32)
+    step = max(1, _CANON_CHUNK // max(len(fiber), 1))
+    for lo in range(0, len(words), step):
+        batch = words[lo : lo + step]
+        moved = np.concatenate([apply_word_codes(fiber.rows, w.letters, fiber.table) for w in batch])
+        positions = fiber.index.positions(moved).reshape(len(batch), -1)
+        out[lo : lo + len(batch)] = fiber.point_of_tuple[positions]
+    return out
 
 
 def induced_permutation(fiber, word):
     """The braid word's action on fiber indices, as a Permutation."""
-    return Permutation(int(i) for i in induced_permutation_array(fiber, word))
+    return Permutation(int(i) for i in induced_permutation_array(fiber, [word])[0])

@@ -25,7 +25,9 @@ its codes by right multiplication.  A table holds |G|^2 codes, which is
 the right trade-off for the group sizes this package targets (|G| <= a few
 thousand).  Tables, classes, abelianizations and automorphism groups hold
 no reference back to a group object, so reference counting frees them with
-the last reference to their group.
+the last reference to their group.  Sorted arrays of code rows (Nielsen
+tuples, automorphisms by their generator images) are searched through
+`RowIndex`, which ranks their prefixes one column at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ DEFAULT_ELEMENT_CAP = 10**6
 # products looked up per gather while a GroupTable builds `mul`; at 2^16
 # the chunk's temporary arrays stay near 2 MiB
 _TABLE_CHUNK = 1 << 16
+# rows mapped, canonicalized, indexed or located per block, so that the
+# temporary arrays stay a few MiB however many rows there are
+_CANON_CHUNK = 1 << 16
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -664,21 +669,121 @@ def row_keys(rows, m):
     return rows.view(np.dtype((np.void, rows.shape[1] * dtype.itemsize))).ravel()
 
 
-def sorted_rows(rows, m):
-    """(rows in lexicographic order, their row_keys), from one sort of the
-    keys: the sorted keys are the sorted rows' bytes, so no permutation of
-    the rows is gathered."""
-    keys = np.sort(row_keys(rows, m), kind="stable")
-    width = keys.dtype.itemsize // rows.shape[1]
-    return keys.view(f">u{width}").reshape(rows.shape).astype(rows.dtype), keys
+def sorted_rows(rows):
+    """Sort a C-contiguous (N, n) array of nonnegative integer codes into
+    lexicographic row order, in place, and return it.
+
+    With its codes big-endian, a row's bytes viewed as one fixed-width
+    np.void value compare as the row does (as in `row_keys`).  So the codes
+    are byte-swapped in place where the machine is little-endian, those
+    values are sorted in place, and the codes are swapped back: the rows
+    are neither copied nor gathered through a permutation.
+    """
+    swap = rows.dtype.newbyteorder(">") != rows.dtype
+    if swap:
+        rows.byteswap(inplace=True)
+    rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().sort(kind="stable")
+    if swap:
+        rows.byteswap(inplace=True)
+    return rows
 
 
-def key_positions(sorted_keys, keys):
-    """Positions of row keys in a sorted key array; every key must be there."""
-    pos = np.searchsorted(sorted_keys, keys)
-    if (pos >= len(sorted_keys)).any() or (sorted_keys[pos] != keys).any():
-        raise InternalCheckError("row key missing from its sorted index: enumeration bug")
-    return pos
+class RowIndex:
+    """Positions of code rows in a strictly increasing (N, n) row array.
+
+    The base-image ranking of `_BaseIndex` (Seress, Permutation Group
+    Algorithms, 4.1), on rows that are already sorted: the rows sharing a
+    length-j prefix are contiguous, so the rank of every row's j-prefix is
+    a running count of the rows that differ from their predecessor in the
+    first j columns, with no sort.  Level j holds `first[r]`, the rank of
+    the first (j+1)-prefix under j-prefix r, and a dense table over
+    (r, index of column j's code among that column's codes) holding the
+    offset of that (j+1)-prefix inside r's run, or -1; the offsets take
+    the smallest signed dtype that holds the column's code count, and an
+    extra column of -1 stands for the codes column j never shows.  The
+    levels stop at the first j whose prefixes are as many as the rows (for
+    tuples of product one, j = n - 1, since the first n - 1 entries fix the
+    last); a lookup is one gather per level and a comparison of the
+    remaining columns.  Ranks are int32 below 2^31 rows.  The index keeps a
+    reference to `rows` and is built in blocks of `_CANON_CHUNK` rows.
+    Rows that are not strictly increasing raise InternalCheckError.
+    """
+
+    def __init__(self, rows, m):
+        self.rows = rows
+        count, width = rows.shape
+        self.rank_dtype = np.int32 if count < 2**31 else np.int64
+        # split[i]: the first column where row i differs from row i - 1;
+        # row 0 starts every prefix, so it gets -1
+        split = np.empty(count, dtype=np.int16 if width < 2**15 else np.int32)
+        split[:1] = -1
+        present = np.zeros((width, m), dtype=bool)
+        # counts[k]: the rows whose split is k - 1
+        counts = np.zeros(width + 1, dtype=np.int64)
+        counts[0] = min(count, 1)
+        for lo in range(0, count, _CANON_CHUNK):
+            # the block's columns as rows, from the row before the block on
+            cols = np.ascontiguousarray(rows[max(lo - 1, 0) : lo + _CANON_CHUNK].T)
+            later, earlier = cols[:, 1:], cols[:, :-1]
+            col = np.full(later.shape[1], width, dtype=split.dtype)
+            increasing = np.zeros(later.shape[1], dtype=bool)
+            for j in range(width - 1, -1, -1):
+                present[j, cols[j]] = True
+                differ = later[j] != earlier[j]
+                np.copyto(col, j, where=differ)
+                np.copyto(increasing, later[j] > earlier[j], where=differ)
+            if not increasing.all():
+                raise InternalCheckError("index rows are not strictly increasing")
+            split[max(lo, 1) : lo + _CANON_CHUNK] = col
+            counts += np.bincount(col + 1, minlength=width + 1)
+        # prefixes[j]: the number of distinct j-prefixes
+        prefixes = np.cumsum(counts)
+        depth = int(np.searchsorted(prefixes, count))
+        self.levels = []
+        for j in range(depth):
+            codes = np.flatnonzero(present[j])
+            code_index = np.full(m, len(codes), dtype=np.int32)
+            code_index[codes] = np.arange(len(codes))
+            first = np.empty(prefixes[j], dtype=self.rank_dtype)
+            # offsets[r * stride + c], flat
+            stride = len(codes) + 1
+            offsets = np.full(prefixes[j] * stride, -1, dtype=np.min_scalar_type(-len(codes)))
+            # ranks of the last j-prefix and the next (j+1)-prefix so far
+            outer, inner = -1, 0
+            for lo in range(0, count, _CANON_CHUNK):
+                # the rows of the block that start a (j+1)-prefix, in order
+                cut = split[lo : lo + _CANON_CHUNK]
+                starts = cut <= j
+                new_outer = cut[starts] < j
+                sub = np.arange(inner, inner + len(new_outer))
+                rank = outer + np.cumsum(new_outer)
+                first[rank[new_outer]] = sub[new_outer]
+                cell = rank * stride
+                cell += code_index[rows[lo : lo + _CANON_CHUNK, j][starts]]
+                offsets[cell] = sub - first[rank]
+                if len(sub):
+                    outer, inner = rank[-1], sub[-1] + 1
+            self.levels.append((code_index, first, offsets, stride))
+
+    def positions(self, rows):
+        """Positions of code rows in the index; every row must be in it."""
+        rank = np.zeros(len(rows), dtype=self.rank_dtype)
+        columns = np.ascontiguousarray(rows.T)
+        for codes, (code_index, first, offsets, stride) in zip(columns, self.levels):
+            # flat positions in the level's (rank, code) table, in int64
+            cell = rank * np.int64(stride)
+            cell += code_index.take(codes)
+            offset = offsets.take(cell)
+            if (offset < 0).any():
+                raise InternalCheckError("row missing from its sorted index: enumeration bug")
+            rank = first.take(rank)
+            rank += offset
+        depth = len(self.levels)
+        if (len(rows) and not len(self.rows)) or not np.array_equal(
+            self.rows[rank, depth:], rows[:, depth:]
+        ):
+            raise InternalCheckError("row missing from its sorted index: enumeration bug")
+        return rank
 
 
 def subgroup_codes(mul, identity, codes):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .perms import PermGroup, Permutation, conjugation_maps, key_positions, orbit_partition, row_keys
+from .perms import PermGroup, Permutation, RowIndex, conjugation_maps, orbit_partition, row_keys
 
 # codes per block of maps in AutGroup.verify: 64 KiB as int64, so that no
 # block is a large temporary
@@ -208,11 +208,9 @@ class AutGroup:
         return len(self.maps) // self.inner_count
 
     def element_maps(self):
-        table = self.table
-        out = np.empty((len(self.maps), table.size), dtype=table.mul.dtype)
-        for i, a in enumerate(self.maps):
-            out[i] = a.element_map
-        return out
+        """Every automorphism's element map, as an (order, m) array in the
+        table's dtype."""
+        return np.stack([a.element_map for a in self.maps])
 
     def verify(self, full=False):
         """Certify each map as a bijective homomorphism.
@@ -446,7 +444,7 @@ def automorphism_group(group):
         Automorphism(
             table,
             [table.elements[c] for c in row],
-            fmap.astype(np.int64),
+            fmap,
             tuple(row) in inner,
         )
         for fmap, row in zip(maps, images)
@@ -489,24 +487,24 @@ def aut_generator_maps(aut):
     log2 |aut : Inn(G)| of them.  One map per Inn(G)-coset would not do:
     Inn(C2^4) is trivial and Aut(C2^4) = GL(4, 2) has 20,160 elements.
     Membership is an orbit of the identity over the indices of `aut.maps`,
-    each map located by its generator images.  Returns a (k, m) array in
-    the table's dtype.
+    each map located by its generator images in a `RowIndex` of them.
+    Returns a (k, m) array in the table's dtype.
     """
     table = aut.table
     gens = np.asarray(table.gen_codes, dtype=np.int64)
     maps = aut.element_maps()
     # an automorphism is determined by its generator images
-    keys = row_keys(maps[:, gens], table.size)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    images = maps[:, gens]
+    order = np.argsort(row_keys(images, table.size), kind="stable")
+    index = RowIndex(images[order], table.size)
 
     def after(g):
         # index of every map followed by g
-        return order[key_positions(keys, row_keys(g[maps[:, gens]], table.size))]
+        return order[index.positions(g[images])]
 
     chosen = list(conjugation_maps(table.mul, table.inv, gens))
     step = [after(g) for g in chosen]
-    identity = order[key_positions(keys, row_keys(gens[None, :], table.size))]
+    identity = order[index.positions(gens[None, :])]
     while True:
         inside = np.zeros(len(maps), dtype=bool)
         inside[orbit_partition(np.reshape(step, (len(step), len(maps))), identity)[0]] = True

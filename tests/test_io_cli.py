@@ -311,12 +311,24 @@ def test_cli_fiber_paths_canonicalize_nothing(args, tmp_path, monkeypatch):
     monkeypatch.setattr(
         nielsen, "canonicalize_codes", lambda *a, **k: counted.append(1) or canonicalize(*a, **k)
     )
+    passes = []
+    mapped = nielsen._mapped_positions
+
+    def counting(index, rows, maps):
+        passes.append(len(rows))
+        return mapped(index, rows, maps)
+
+    monkeypatch.setattr(nielsen, "_mapped_positions", counting)
     if args[1] == "pgl27_22":
         args = [args[0], str(tmp_path / "pgl27_22.json"), *args[2:]]
         Path(args[1]).write_text(json.dumps(_PGL27_22))
     code, report = run_cli(args, tmp_path)
     assert code == cli.EXIT_OK
     assert counted == []
+    # the inner generators map the tuple set once; the aut fiber, built on
+    # the inn fiber, maps only the inn points
+    assert len(passes) == (1 if args[0] == "conway-parker" else 2)
+    assert passes == sorted(passes, reverse=True) and passes.count(passes[0]) == 1
 
 
 def test_cli_internal_check_exit_4(tmp_path, monkeypatch):

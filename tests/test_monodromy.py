@@ -1,5 +1,6 @@
 """Braid orbits, monodromy groups, fullness, quasi-fullness, reports."""
 
+import json
 import random
 from math import factorial
 
@@ -10,6 +11,8 @@ import hurwitz as hw
 from hurwitz import PermGroup, Permutation
 from hurwitz import perms as perms_module
 from hurwitz.monodromy import (
+    MonodromyReport,
+    OrbitPartition,
     OrbitVerdict,
     _block_system,
     _quasi_fullness_by_chain,
@@ -17,6 +20,7 @@ from hurwitz.monodromy import (
     braid_orbits,
     conway_parker_report,
     cross_check_braid_orbits,
+    decimal_digits,
     fiber_generator_arrays,
     full_by_order,
     fullness_by_jordan_witness,
@@ -525,3 +529,44 @@ def test_cross_check_a5_single_block(a5, a5_c3):
     # the cross-check compares the computation against itself
     h = hw.validate_parameter(a5, [a5_c3], [4])
     assert cross_check_braid_orbits(h)
+
+
+# ---------------------------------------------------------------------------
+# orders beyond the interpreter's int-to-str digit limit
+
+
+def _parse_digits(digits):
+    """The int a digit string spells, a thousand digits at a time."""
+    value = 0
+    for lo in range(0, len(digits), 1000):
+        piece = digits[lo : lo + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def test_decimal_at_the_piece_boundaries():
+    for n in (0, 7, 10**4000 - 1, 10**4000, 10**4000 + 1, 10**8001 + 5 * 10**4000):
+        digits = decimal_digits(n)
+        assert digits == "0" or digits[0] != "0"
+        assert _parse_digits(digits) == n
+
+
+def test_report_prints_a_full_1600_point_orbit():
+    # 1600!/2 has 4,434 digits, beyond the default limit of 4,300
+    size = 1600
+    order = factorial(size) // 2
+    orbits = OrbitPartition(np.zeros(size, dtype=np.int64), (size,), (tuple(range(size)),))
+    report = MonodromyReport(
+        fiber_size=size,
+        mode="aut",
+        generator_names=("g",),
+        generators=(np.arange(size),),
+        group_order=order,
+        orbits=orbits,
+        per_orbit=(OrbitVerdict(size=size, group_order=order, full=True, route="jordan"),),
+        quasi_full=True,
+    )
+    out = json.loads(json.dumps(report.to_json_dict()))
+    for digits in (out["group_order"], out["per_orbit"][0]["order"]):
+        assert len(digits) == 4434
+        assert _parse_digits(digits) == order

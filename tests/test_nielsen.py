@@ -20,10 +20,9 @@ from hurwitz.nielsen import (
     apply_word_codes,
     canonicalize_codes,
     induced_permutation_array,
-    key_positions,
     row_keys,
 )
-from hurwitz.perms import SubgroupCloser
+from hurwitz.perms import SubgroupCloser, conjugation_maps
 
 from conftest import class_by_type
 
@@ -433,12 +432,19 @@ def test_contrasting_pair_fiber_sizes(contrasting_pair):
     assert len(contrasting_pair["212"]["fiber"]) == 170
 
 
+def _acting_maps(h, mode):
+    """Every element map of Inn(G) or Aut(G, C)."""
+    if mode == "inn":
+        return h.group.table().inner_maps()
+    return hw.aut_fixing_classes(hw.automorphism_group(h.group), h.classes).element_maps()
+
+
 def test_inn_action_free_on_tuples(h25_data):
     # for a centerless group the inner action on generating tuples is free:
     # every fiber point has exactly |Inn| = 120 preimages
     fiber = h25_data["fiber_inn"]
     tuples = h25_data["tuples"]
-    rows, keys = fiber.canonical_codes(tuples.codes)
+    rows, keys = canonicalize_codes(tuples.codes, _acting_maps(fiber.h, "inn"), fiber.table.size)
     counts = {}
     for k in keys:
         counts[bytes(k)] = counts.get(bytes(k), 0) + 1
@@ -455,13 +461,14 @@ def test_mass_sanity_equality_when_free(h25_data):
 def test_canonicalization_idempotent_and_orbit_constant(h25_data):
     fiber = h25_data["fiber_aut"]
     table = fiber.table
+    maps = _acting_maps(fiber.h, "aut")
     rng = random.Random(31)
     for _ in range(30):
         i = rng.randrange(len(fiber))
         point = fiber.point(i)
         assert fiber.canonicalize_tuple(point) == point  # idempotent
         # constant on the orbit of the acting group
-        amap = fiber.maps[rng.randrange(len(fiber.maps))]
+        amap = maps[rng.randrange(len(maps))]
         codes = [int(amap[table.code(g)]) for g in point]
         moved = NielsenTuple(table.perm(c) for c in codes)
         assert fiber.canonicalize_tuple(moved) == point
@@ -476,9 +483,28 @@ def test_canonicalization_exhaustive_small():
     assert len(fiber) == 1  # six tuples, free inner action of order 6
     table = fiber.table
     point = fiber.point(0)
-    for amap in fiber.maps:
+    for amap in _acting_maps(h, "inn"):
         moved = NielsenTuple(table.perm(int(amap[table.code(g)])) for g in point)
         assert fiber.canonicalize_tuple(moved) == point
+
+
+def test_canonicalize_tuple_outside_the_tuple_set(h25_data):
+    fiber = h25_data["fiber_aut"]
+    t = fiber.point(3)
+    # a product other than one: in every class, outside the tuple set
+    swapped = NielsenTuple([t[1], t[0], *t.entries[2:]])
+    assert swapped not in h25_data["tuples"]
+    with pytest.raises(hw.InputError, match="not in the parameter's tuple set"):
+        fiber.canonicalize_tuple(swapped)
+    with pytest.raises(hw.InputError, match="length"):
+        fiber.canonicalize_tuple(NielsenTuple(t.entries[:4]))
+
+
+def _key_positions(sorted_keys, keys):
+    """Oracle: positions of row keys by binary search over the sorted keys."""
+    pos = np.searchsorted(sorted_keys, keys)
+    assert (pos < len(sorted_keys)).all() and (sorted_keys[pos] == keys).all()
+    return pos
 
 
 def _canonical_rows_oracle(codes, maps):
@@ -514,8 +540,8 @@ def _canonical_fiber_oracle(tuples, maps, words):
     arrays = []
     for w in words:
         _, moved_keys = canonicalize_codes(apply_word_codes(rows, w.letters, tuples.table), maps, m)
-        arrays.append(key_positions(keys, moved_keys))
-    return rows, keys, key_positions(keys, canon_keys), arrays
+        arrays.append(_key_positions(keys, moved_keys))
+    return rows, keys, _key_positions(keys, canon_keys), arrays
 
 
 _A5_FIVE_CYCLES = ("(1 2 3 4 5)", "(1 3 5 2 4)")
@@ -542,14 +568,66 @@ def test_fiber_matches_canonical_fiber_oracle(name, modes, request):
     words = braid_nu_generators(h.nu)
     for mode in modes:
         fiber = hw.build_fiber(h, mode, tuples=tuples)
-        rows, keys, points, arrays = _canonical_fiber_oracle(tuples, fiber.maps, words)
+        rows, keys, points, arrays = _canonical_fiber_oracle(tuples, _acting_maps(h, mode), words)
         assert fiber.rows.dtype == G.table().mul.dtype
         assert np.array_equal(fiber.rows, rows)
-        assert fiber.keys.tobytes() == keys.tobytes()
+        assert row_keys(fiber.rows, G.table().size).tobytes() == keys.tobytes()
         assert np.array_equal(fiber.point_of_tuple, points)
-        for w, want in zip(words, arrays):
-            got = induced_permutation_array(fiber, w)
-            assert got.dtype == np.int32 and np.array_equal(got, want)
+        got = induced_permutation_array(fiber, words)
+        assert got.dtype == np.int32 and np.array_equal(got, arrays)
+        if mode == "aut":
+            # built on a separate inn fiber: the same points and arrays
+            again = hw.build_fiber(h, "aut", inn=hw.build_fiber(h, "inn", tuples=tuples))
+            assert np.array_equal(again.rows, fiber.rows)
+            assert np.array_equal(again.point_of_tuple, fiber.point_of_tuple)
+            assert np.array_equal(induced_permutation_array(again, words), got)
+
+
+_INDEX_CASES = ("a5_c3_n4", "a5_c3_n5", "a5_c3_n6", "h25", "s5_212", "s5_221", "s6_41", "pgl27_22", "s4_42")
+
+
+@pytest.mark.parametrize("name", _INDEX_CASES)
+def test_tuple_index_matches_searchsorted_oracle(name, request):
+    """Every lookup the fibers make, in both modes, against a binary search
+    over the tuples' sorted row keys."""
+    group_name, types, nu, _ = _ORACLE_CASES[name]
+    G = request.getfixturevalue(group_name.lower())
+    h = hw.validate_parameter(G, [class_by_type(G, t) for t in types], nu)
+    tuples = hw.enumerate_tuples(h)
+    table = tuples.table
+    keys = row_keys(tuples.codes, table.size)
+    assert np.sort(keys).tobytes() == keys.tobytes() and len(np.unique(keys)) == len(keys)
+    assert len(tuples.index.levels) <= h.n - 1
+    inner = conjugation_maps(table.mul, table.inv, table.gen_codes)
+    aut = hw.aut_fixing_classes(hw.automorphism_group(G), h.classes)
+    outer = hw.aut_generator_maps(aut)[len(inner):]
+    words = braid_nu_generators(h.nu)
+    inn = hw.build_fiber(h, "inn", tuples=tuples)
+    for fiber, maps in ((inn, inner), (hw.build_fiber(h, "aut", inn=inn), outer)):
+        for amap in maps:
+            moved = amap[tuples.codes]
+            want = _key_positions(keys, row_keys(moved, table.size))
+            assert np.array_equal(tuples.positions(moved), want)
+        for w in words:
+            moved = apply_word_codes(fiber.rows, w.letters, table)
+            want = _key_positions(keys, row_keys(moved, table.size))
+            assert np.array_equal(fiber.index.positions(moved), want)
+
+
+def test_empty_tuple_set(a5, a5_c3):
+    # a 3-cycle and its inverse generate no more than C3
+    h = hw.validate_parameter(a5, [a5_c3], [2])
+    tuples = hw.enumerate_tuples(h)
+    assert len(tuples) == 0 and tuples.codes.shape == (0, 2)
+    t = NielsenTuple([a5_c3.representative, a5_c3.representative.inverse()])
+    assert t not in tuples
+    for mode in ("inn", "aut"):
+        fiber = hw.build_fiber(h, mode, tuples=tuples)
+        assert len(fiber) == 0 and fiber.tuple_count == 0
+        words = braid_nu_generators(h.nu)
+        assert induced_permutation_array(fiber, words).shape == (len(words), 0)
+        with pytest.raises(hw.InputError, match="not in the parameter's tuple set"):
+            fiber.canonicalize_tuple(t)
 
 
 def test_induced_permutation_identity_and_inverse(h25_data):
@@ -565,7 +643,7 @@ def test_induced_permutation_identity_and_inverse(h25_data):
 def test_induced_generators_transitive_on_h25(h25_data):
     # full cover: the braid images generate a transitive group on the fiber
     fiber = h25_data["fiber_aut"]
-    arrays = [induced_permutation_array(fiber, w) for w in braid_nu_generators((4, 1))]
+    arrays = induced_permutation_array(fiber, braid_nu_generators((4, 1)))
     orbits = hw.braid_orbits(fiber, arrays)
     assert orbits.orbit_sizes == (25,)
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import hurwitz as hw
 from hurwitz import PermGroup, Permutation, StabilizerChain, orbit_labels, orbit_partition
-from hurwitz.perms import SubgroupCloser, conjugation_maps
+from hurwitz.perms import RowIndex, SubgroupCloser, conjugation_maps, row_keys, sorted_rows
 
 from conftest import class_by_type, cover_group
 
@@ -346,6 +346,88 @@ def test_orbit_labels_long_cycles_and_many_orbits():
     assert labels.tolist() == _labels_of(bfs_orbits_oracle(step, range(table.size)), table.size)
     assert labels.tolist() == list(range(1024))
     assert [c.size for c in g.conjugacy_classes()] == [1] * 1024
+
+
+def _searchsorted_oracle(rows, queries, m):
+    """Positions of query rows by binary search over the rows' sorted keys."""
+    keys = row_keys(rows, m)
+    return np.searchsorted(keys, row_keys(queries, m))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
+def test_sorted_rows_sorts_in_place_like_lexsort(dtype):
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        rows = rng.integers(0, 200, size=(int(rng.integers(0, 300)), int(rng.integers(1, 6))))
+        rows = rows.astype(dtype)
+        want = rows[np.lexsort(rows.T[::-1])]
+        got = sorted_rows(rows)
+        assert got is rows and got.dtype == dtype and np.array_equal(got, want)
+
+
+def test_row_index_matches_searchsorted_oracle_on_random_rows(monkeypatch):
+    rng = np.random.default_rng(17)
+    for case in range(50):
+        # small blocks put the build's block boundaries inside the rows
+        monkeypatch.setattr(hw.perms, "_CANON_CHUNK", (1, 2, 7, 64, 1 << 16)[case % 5])
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(2, 30))
+        rows = rng.integers(0, m, size=(int(rng.integers(2, 400)), n))
+        # a twin differing in the last column only: the first n - 1 columns
+        # do not determine the rows, so the levels run to column n
+        twin = rows[:1].copy()
+        twin[0, -1] = (twin[0, -1] + 1) % m
+        rows = np.unique(np.concatenate([rows, twin]), axis=0).astype(np.uint16)
+        index = RowIndex(rows, m)
+        assert len(index.levels) == n
+        queries = rows[rng.permutation(len(rows))]
+        got = index.positions(queries)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, _searchsorted_oracle(rows, queries, m))
+        assert np.array_equal(index.positions(rows), np.arange(len(rows)))
+        present = {tuple(r) for r in rows.tolist()}
+        for query in rng.integers(0, m, size=(5, n)).astype(np.uint16):
+            if tuple(query.tolist()) in present:
+                continue
+            with pytest.raises(hw.InternalCheckError, match="missing"):
+                index.positions(np.concatenate([rows[:3], query[None]]))
+
+
+def test_row_index_levels_stop_where_the_prefixes_are_the_rows():
+    rows = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 2]], dtype=np.uint16)
+    index = RowIndex(rows, 3)
+    # the 2-prefixes are distinct: two levels, then the last column compared
+    assert len(index.levels) == 2
+    assert [level[2].dtype for level in index.levels] == [np.int8, np.int8]
+    assert index.positions(rows[::-1]).tolist() == [2, 1, 0]
+    for query, why in (
+        ([2, 0, 0], "code absent from column 0"),
+        ([1, 1, 2], "absent prefix (1, 1)"),
+        ([0, 0, 1], "last-column mismatch"),
+        ([0, 1, 2], "last-column mismatch"),
+    ):
+        with pytest.raises(hw.InternalCheckError, match="missing"):
+            index.positions(np.array([query], dtype=np.uint16))
+    # one row needs no level; n = 2 with distinct first entries needs one
+    assert len(RowIndex(rows[:1], 3).levels) == 0
+    pairs = np.array([[0, 2], [1, 1], [2, 0]], dtype=np.uint16)
+    assert len(RowIndex(pairs, 3).levels) == 1
+    assert RowIndex(pairs, 3).positions(pairs[[2, 0]]).tolist() == [2, 0]
+    with pytest.raises(hw.InternalCheckError, match="missing"):
+        RowIndex(pairs, 3).positions(np.array([[1, 2]], dtype=np.uint16))
+
+
+def test_row_index_rejects_rows_not_strictly_increasing():
+    for rows in ([[0, 1], [0, 0]], [[0, 1], [0, 1]], [[1, 0], [0, 2], [2, 2]]):
+        with pytest.raises(hw.InternalCheckError, match="strictly increasing"):
+            RowIndex(np.array(rows, dtype=np.uint16), 3)
+
+
+def test_row_index_empty():
+    index = RowIndex(np.empty((0, 3), dtype=np.uint16), 5)
+    assert index.positions(np.empty((0, 3), dtype=np.uint16)).tolist() == []
+    with pytest.raises(hw.InternalCheckError, match="missing"):
+        index.positions(np.zeros((1, 3), dtype=np.uint16))
 
 
 def test_orbit_partition_edge_cases():

@@ -376,8 +376,10 @@ def test_coset_search_matches_isomorphisms_oracle(name, order, aut_order, reques
     as_bytes = {f.astype(np.int64).tobytes() for f in got}
     assert as_bytes == {f.tobytes() for f in want}
     aut = hw.automorphism_group(group)
+    # element maps stay in the table's dtype; the oracle's are int64
+    assert all(a.element_map.dtype == group.table().mul.dtype for a in aut.maps)
     assert [
-        (a.element_map.tobytes(), a.inner, ca, tuple(a.gen_images))
+        (a.element_map.astype(np.int64).tobytes(), a.inner, ca, tuple(a.gen_images))
         for a, ca in zip(aut.maps, aut.class_action)
     ] == _aut_fields_oracle(group, want)
     assert sum(a.inner for a in aut.maps) == aut.inner_count
