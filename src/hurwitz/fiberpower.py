@@ -32,7 +32,8 @@ class FiberPowerGroup:
     def __init__(self, base, k):
         if k < 1:
             raise InputError("fiber power exponent must be at least 1")
-        if base.center().order() > 1:
+        table = base.table()
+        if table.center_order() > 1:
             raise InputError("fiber powers are built for centerless base groups")
         self.base = base
         self.k = k
@@ -40,12 +41,12 @@ class FiberPowerGroup:
         gens = []
         for g in base.generators:
             gens.append(self.embed_diagonal(g))
-        derived = base.derived_subgroup()
+        derived = table.derived_gen_codes()
         for i in range(k):
-            for g in derived.generators:
-                gens.append(self.embed_coordinate(g, i))
+            for c in derived:
+                gens.append(self.embed_coordinate(table.elements[c], i))
         self.realized = PermGroup(d * k, gens, name=f"fiber power k={k}")
-        expected = base.order() * derived.order() ** (k - 1)
+        expected = table.size * len(table.closure_codes(derived)) ** (k - 1)
         if self.realized.order() != expected:
             raise InputError(
                 f"fiber power order {self.realized.order()} differs from "

@@ -35,7 +35,6 @@ from .nielsen import (
     enumerate_tuples,
     induced_permutation_array,
     _enumerate_codes,
-    _class_code_arrays,
 )
 from .perms import (
     PermGroup,
@@ -496,8 +495,9 @@ def mass_report(h, fiber_inn_size=None, fiber_aut_size=None, label_shares=None, 
     prod = 1
     for c, count in zip(h.classes, h.nu):
         prod *= c.size**count
-    inn = group.order() // group.center().order()
-    derived_order = group.derived_subgroup().order()
+    table = group.table()
+    inn = table.size // table.center_order()
+    derived_order = len(table.closure_codes(table.derived_gen_codes()))
     aut_gc = aut_fixing_classes(automorphism_group(group), h.classes)
     predicted_inn = prod / (derived_order * inn)
     predicted_aut = prod / (derived_order * len(aut_gc.maps))
@@ -561,7 +561,7 @@ def cross_check_braid_orbits(h, budget=None):
 
     budget = budget or DEFAULT_TUPLE_BUDGET
     table = h.group.table()
-    class_codes = _class_code_arrays(table, h.classes)
+    class_codes = [c.codes for c in h.classes]
     counts = {ci: v for ci, v in enumerate(h.nu)}
     all_rows = []
     counter = {"visits": 0}

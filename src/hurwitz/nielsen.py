@@ -130,8 +130,9 @@ def validate_parameter(group, classes, nu):
     if any(int(v) != v or v < 1 for v in nu):
         raise InputError("nu entries must be positive integers")
     validate_classes(group, classes)
-    closure = group.normal_closure([c.representative for c in classes])
-    if closure.order() != group.order():
+    # a union of classes is closed under conjugation, so it generates a normal subgroup
+    table = group.table()
+    if len(table.closure_codes(np.concatenate([c.codes for c in classes]))) != table.size:
         raise InputError("classes do not generate the group")
     ab = group.abelianization()
     acc = 0
@@ -292,14 +293,6 @@ class NielsenTupleSet:
     def positions(self, rows):
         """Indices of code rows in the tuple set; every row must be in it."""
         return self.index.positions(rows)
-
-
-def _class_code_arrays(table, classes):
-    out = []
-    for c in classes:
-        codes = sorted(table.code(g) for g in c.elements)
-        out.append(np.array(codes, dtype=np.int64))
-    return out
 
 
 def _count_visits(counter, visits, budget):
@@ -504,7 +497,7 @@ def enumerate_tuples(h, budget=None):
     pos_class = []
     for i in order:
         pos_class.extend([i] * h.nu[i])
-    class_codes = _class_code_arrays(table, h.classes)
+    class_codes = [c.codes for c in h.classes]
     counter = {"visits": 0}
     codes = _enumerate_codes(table, pos_class, class_codes, budget, counter, SubgroupCloser(table))
     codes = _unsort_blocks(table, codes, h, order, script)
@@ -625,8 +618,7 @@ def build_fiber(h, mode="aut", tuples=None, budget=None, inn=None):
         gens = conjugation_maps(table.mul, table.inv, table.gen_codes)
         step = _mapped_positions(tuples.index, tuples.codes, gens)
         reps, point_of_tuple = _orbit_points(orbit_labels(step))
-        # |Inn(G)| = |G| / |Z(G)|, the center being the classes of size one
-        inn_order = table.size // sum(len(c) == 1 for c in table.class_codes)
+        inn_order = table.size // table.center_order()
         inn = Fiber(h, "inn", tuples.codes[reps], point_of_tuple, tuples.index, inn_order)
     if mode == "inn":
         return inn

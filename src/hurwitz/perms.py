@@ -15,8 +15,13 @@ Groups are backed by a deterministic Schreier-Sims stabilizer chain for
 orders and membership.  Everything else is read off a dense code table
 (`GroupTable`): conjugacy classes are orbits of conjugation by the
 generators, centralizers and the center are comparisons of table columns
-with rows, and the cosets of the derived subgroup are orbits of right
-multiplication by its generators.  A table is built in one of two ways:
+with rows (the center's order is the number of classes of size one),
+normal closures, the derived subgroup among them, are seed codes closed
+under conjugation by the generators, and the cosets of the derived
+subgroup are orbits of right multiplication by its generators.  The
+chain-backed `PermGroup.center`, `derived_subgroup`, `normal_closure` and
+`is_perfect` are the route for groups without a table, such as fiber
+powers and monodromy groups.  A table is built in one of two ways:
 `PermGroup.table()` materializes the group's elements (capped) and codes
 them by their place in the sorted element list, and
 `GroupTable.from_arrays` takes the tables of a quotient whose codes are
@@ -1174,27 +1179,38 @@ class GroupTable:
         mul, inv = self.mul, self.inv
         return mul[mul[inv[a], inv[b]], mul[a, b]]
 
+    def center_order(self):
+        """|Z(G)|: the central elements are the classes of size one."""
+        return sum(len(c) == 1 for c in self.class_codes)
+
+    def normal_closure_gen_codes(self, seed):
+        """Generator codes of the normal closure of the seed codes: the
+        nonidentity seed codes, closed under conjugation by the generators.
+        A conjugate joins only when it lies outside the subgroup generated
+        so far, so the generating set stays small."""
+        mul, inv = self.mul, self.inv
+        gens = [c for c in dict.fromkeys(int(c) for c in seed) if c != self.identity]
+        members = set(self.closure_codes(gens))
+        frontier = list(gens)
+        while frontier:
+            new = []
+            for x in frontier:
+                for z in self.gen_codes:
+                    y = int(mul[mul[inv[z], x], z])
+                    if y not in members:
+                        gens.append(y)
+                        members = set(self.closure_codes(gens))
+                        new.append(y)
+            frontier = new
+        return gens
+
     def derived_gen_codes(self):
-        """Generator codes of the derived subgroup: the commutators of the
-        generators, closed under conjugation by the generators."""
+        """Generator codes of the derived subgroup: the normal closure of
+        the commutators of the generators."""
         if self._derived_gens is None:
-            mul, inv = self.mul, self.inv
             g = np.asarray(self.gen_codes, dtype=np.int64)
             comms = np.unique(self.commutator(g[:, None], g)).tolist()
-            gens = [c for c in comms if c != self.identity]
-            members = set(self.closure_codes(gens))
-            frontier = list(gens)
-            while frontier:
-                new = []
-                for x in frontier:
-                    for z in self.gen_codes:
-                        y = int(mul[mul[inv[z], x], z])
-                        if y not in members:
-                            gens.append(y)
-                            members = set(self.closure_codes(gens))
-                            new.append(y)
-                frontier = new
-            self._derived_gens = gens
+            self._derived_gens = self.normal_closure_gen_codes(comms)
         return self._derived_gens
 
     def derived_orbits(self, codes):

@@ -5,6 +5,13 @@ more than one conjugation orbit.  A centerless group is pseudosimple when
 its derived subgroup is a power of a nonabelian simple group and every
 nontrivial quotient is abelian; symmetric groups S_d (d >= 5) and
 PGL_2(q) are the standard examples beyond the simple groups themselves.
+Three checks on the group's code table decide it: the center is trivial,
+the derived group G' is nonabelian, and G' lies in the normal closure of
+every nonidentity class.  Then G' is the unique minimal normal subgroup,
+and a minimal normal subgroup is a direct product of isomorphic simple
+groups that the group permutes transitively (Dixon and Mortimer,
+Permutation Groups, 1996, 4.3), so nothing else needs checking; the
+number of simple factors is read off the orders.
 
 Automorphism groups are found by backtracking over candidate images of a
 minimal generating sequence, with (order, class size) and word-order
@@ -17,12 +24,13 @@ Aut(S6), against 1440 certified one by one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .perms import PermGroup, Permutation, RowIndex, conjugation_maps, orbit_partition, row_keys
+from .perms import PermGroup, RowIndex, conjugation_maps, orbit_partition, row_keys
 
 # codes per block of maps in AutGroup.verify: 64 KiB as int64, so that no
 # block is a large temporary
@@ -50,12 +58,10 @@ def centralizer_covers_abelianization(group, conj_class):
 
 def is_rational_class(group, conj_class):
     """True when g^k stays in the class for every k prime to the order of g."""
-    from math import gcd
-
     rep = conj_class.representative
     n = rep.order()
     members = set(conj_class.elements)
-    return all(rep**k in members for k in range(1, n) if gcd(k, n) == 1)
+    return all(rep**k in members for k in range(1, n) if math.gcd(k, n) == 1)
 
 
 @dataclass
@@ -65,93 +71,41 @@ class StructureVerdict:
     simple_factor_count: int | None = None
 
 
-def _is_nonabelian_simple(group):
-    """Simplicity test by class-based normal closures; desk scale."""
-    if group.is_abelian():
-        return False
-    if not group.is_perfect():
-        return False
-    full = group.order()
-    for c in group.conjugacy_classes():
-        if c.representative.is_identity():
-            continue
-        if group.normal_closure([c.representative]).order() != full:
-            return False
-    return True
-
-
 def is_pseudosimple(group):
-    """Verdict with failure reason; see the module docstring for the notion.
+    """Verdict with failure reason; see the module docstring for the notion
+    and for the three checks, made in that order on the group's table.
 
-    Checks, in order: trivial center; every nontrivial quotient abelian
-    (normal closure of each nontrivial class contains the derived group);
-    the derived group nonabelian, perfect, and the join of its minimal
-    normal subgroups, all simple, permuted transitively by the group.
+    When all three pass, every nontrivial normal subgroup contains G', so G'
+    is the unique minimal normal subgroup: G' = T^w with T simple, and
+    nonabelian since G' is.  So G' is perfect, its minimal normal subgroups
+    are exactly the w factors, and the group permutes them transitively; no
+    further check can fail.  The closure of a G'-class is the normal closure
+    in G' of one element, the product of the factors on which that element
+    is not trivial, so the least such closure has |T| elements, and
+    |G'| = |T|^w gives w.
     """
-    if group.center().order() > 1:
+    table = group.table()
+    if table.center_order() > 1:
         return StructureVerdict(False, reason="center nontrivial")
-    derived = group.derived_subgroup()
-    if derived.is_abelian():
+    gens = np.asarray(table.derived_gen_codes(), dtype=np.int64)
+    products = table.mul[np.ix_(gens, gens)]
+    if (products == products.T).all():
         return StructureVerdict(False, reason="derived group abelian")
-    dorder = derived.order()
-    for c in group.conjugacy_classes():
-        if c.representative.is_identity():
+    for codes in table.class_codes:
+        if codes[0] == table.identity:
             continue
-        closure = group.normal_closure([c.representative])
-        if not all(g in closure for g in derived.generators):
+        closure = table.closure_codes(table.normal_closure_gen_codes(codes[:1]))
+        if not np.isin(gens, closure).all():
             return StructureVerdict(False, reason="nonabelian proper quotient")
-    if not derived.is_perfect():
-        return StructureVerdict(False, reason="derived group not perfect-power-of-simple")
-    # minimal normal closures inside the derived group
-    closures = []
-    for c in derived.conjugacy_classes():
-        if c.representative.is_identity():
-            continue
-        n = derived.normal_closure([c.representative])
-        # the derived group itself, so that its elements and table are reused
-        closures.append(derived if n.order() == dorder else n)
-    minimal = []
-    for n in closures:
-        if any(
-            other.order() < n.order() and other.is_subgroup_of(n) for other in closures
-        ):
-            continue
-        if any(m.equals(n) for m in minimal):
-            continue
-        minimal.append(n)
-    if not minimal:
-        return StructureVerdict(False, reason="derived group not perfect-power-of-simple")
-    sizes = {m.order() for m in minimal}
-    if len(sizes) != 1 or not all(_is_nonabelian_simple(m) for m in minimal):
-        return StructureVerdict(False, reason="derived group not perfect-power-of-simple")
-    w = len(minimal)
-    joint = derived.subgroup([g for m in minimal for g in m.generators])
-    if joint.order() != dorder or dorder != minimal[0].order() ** w:
-        return StructureVerdict(False, reason="derived group not perfect-power-of-simple")
-    if w > 1:
-        # the group must permute the simple factors transitively
-        factor_sets = [frozenset(g.images for g in m.elements()) for m in minimal]
-        index = {fs: i for i, fs in enumerate(factor_sets)}
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            new = []
-            for fi in frontier:
-                for g in group.generators:
-                    moved = frozenset(
-                        Permutation(images).conjugate_by(g).images for images in factor_sets[fi]
-                    )
-                    j = index.get(moved)
-                    if j is None:
-                        return StructureVerdict(
-                            False, reason="derived group not perfect-power-of-simple"
-                        )
-                    if j not in reached:
-                        reached.add(j)
-                        new.append(j)
-            frontier = new
-        if len(reached) != w:
-            return StructureVerdict(False, reason="derived group not perfect-power-of-simple")
+    derived = table.closure_codes(gens)
+    factor = min(
+        len(table.closure_codes(orbit))
+        for orbit in table.derived_orbits(derived)
+        if orbit != [table.identity]
+    )
+    w = round(math.log(len(derived), factor))
+    if factor**w != len(derived):
+        raise InternalCheckError("the derived group of a pseudosimple group is not a simple power")
     return StructureVerdict(True, simple_factor_count=w)
 
 
@@ -449,7 +403,7 @@ def automorphism_group(group):
         )
         for fmap, row in zip(maps, images)
     ]
-    inner_count = group.order() // group.center().order()
+    inner_count = table.size // table.center_order()
     result = AutGroup(table, auts, map(tuple, class_actions), inner_count)
     result.verify(full=False)
     if len(result.maps) % inner_count:

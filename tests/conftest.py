@@ -2,6 +2,7 @@
 fiber/monodromy computations (built once per session, reused everywhere,
 with wall times recorded for the runtime-budget assertions)."""
 
+import random
 import time
 
 import pytest
@@ -73,6 +74,25 @@ def cover_group(ext):
     cover table, in the table's generator order."""
     gens = [ext.table.perm(c) for c in ext.table.gen_codes]
     return hw.PermGroup(gens[0].degree, gens)
+
+
+def random_perm(rng, degree):
+    img = list(range(degree))
+    rng.shuffle(img)
+    return hw.Permutation(img)
+
+
+def random_groups():
+    """50 seeded random permutation groups of degree at most 8 and order at
+    most 2000, each generated by one to three random permutations."""
+    rng = random.Random(29)
+    groups = []
+    while len(groups) < 50:
+        degree = rng.randint(1, 8)
+        G = hw.PermGroup(degree, [random_perm(rng, degree) for _ in range(rng.randint(1, 3))])
+        if G.order() <= 2000:
+            groups.append(G)
+    return groups
 
 
 def class_by_type(group, cycle_type):

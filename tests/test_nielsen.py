@@ -14,7 +14,6 @@ from hurwitz import (
     braid_nu_generators,
 )
 from hurwitz.nielsen import (
-    _class_code_arrays,
     _enumerate_codes,
     _sorted_block_arrangement,
     apply_word_codes,
@@ -232,7 +231,7 @@ def test_enumerate_codes_matches_dfs_oracle(name, request):
     G = request.getfixturevalue(group_name.lower())
     h = hw.validate_parameter(G, [class_by_type(G, t) for t in types], nu)
     table = G.table()
-    _, got_visits = _assert_matches_dfs_oracle(table, _position_classes(h), _class_code_arrays(table, h.classes))
+    _, got_visits = _assert_matches_dfs_oracle(table, _position_classes(h), [c.codes for c in h.classes])
     assert got_visits == visits
     if name == "a5_c3_n6":
         # the two parameters of criterion 5 also go through enumerate_tuples
@@ -265,7 +264,7 @@ def test_enumerate_codes_matches_dfs_oracle_on_random_words(s4, s5, a5, pgl27):
             estimate *= classes[ci].size
         if estimate > 200_000:
             continue
-        rows, _ = _assert_matches_dfs_oracle(table, pos_class, _class_code_arrays(table, classes))
+        rows, _ = _assert_matches_dfs_oracle(table, pos_class, [c.codes for c in classes])
         checked += 1
         for row in rows[:50] if n >= 4 else []:
             if len(table.closure_codes(row[: n - 2].tolist() + [table.identity])) < table.size:
@@ -281,7 +280,7 @@ def test_enumerate_codes_budget_edge(s5, a5, pgl27):
     ):
         h = hw.validate_parameter(G, [class_by_type(G, t) for t in types], nu)
         table = G.table()
-        args = (table, _position_classes(h), _class_code_arrays(table, h.classes))
+        args = (table, _position_classes(h), [c.codes for c in h.classes])
         _, visits = _assert_matches_dfs_oracle(*args)
         counter = {"visits": 0}
         with pytest.raises(hw.BudgetError) as info:

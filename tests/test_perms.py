@@ -20,13 +20,7 @@ import hurwitz as hw
 from hurwitz import PermGroup, Permutation, StabilizerChain, orbit_labels, orbit_partition
 from hurwitz.perms import RowIndex, SubgroupCloser, conjugation_maps, row_keys, sorted_rows
 
-from conftest import class_by_type, cover_group
-
-
-def random_perm(rng, degree):
-    img = list(range(degree))
-    rng.shuffle(img)
-    return Permutation(img)
+from conftest import class_by_type, cover_group, random_groups, random_perm
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +599,23 @@ def test_group_table_matches_oracle_on_derived_subgroups(name, request):
 
 
 def test_group_table_matches_oracle_on_random_groups():
-    rng = random.Random(29)
-    checked = 0
-    while checked < 50:
-        degree = rng.randint(1, 8)
-        G = PermGroup(degree, [random_perm(rng, degree) for _ in range(rng.randint(1, 3))])
-        if G.order() > 2000:
-            continue
+    for G in random_groups():
         assert_table_matches_oracle(G)
-        checked += 1
+
+
+def test_normal_closures_on_codes_match_chain_route():
+    rng = random.Random(31)
+    for G in random_groups():
+        table = G.table()
+        derived = table.closure_codes(table.derived_gen_codes())
+        assert [table.perm(c) for c in derived] == list(G.derived_subgroup().elements())
+        for _ in range(3):
+            seed = [rng.randrange(table.size) for _ in range(rng.randint(1, 3))]
+            closure = table.closure_codes(table.normal_closure_gen_codes(seed))
+            chain = G.normal_closure([table.perm(c) for c in seed])
+            assert [table.perm(c) for c in closure] == list(chain.elements())
+        center = [c for c in range(table.size) if (table.mul[c] == table.mul[:, c]).all()]
+        assert table.center_order() == len(center) == G.center().order()
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from hurwitz.structure import (
     minimal_generating_sequence,
 )
 
-from conftest import class_by_type, cover_group
+from conftest import class_by_type, cover_group, random_groups
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +112,133 @@ def test_abelian_derived_group_reason():
     v = hw.is_pseudosimple(S3)
     assert not v.pseudosimple
     assert v.reason == "derived group abelian"
+
+
+def _is_nonabelian_simple_oracle(group):
+    """Simplicity test by class-based normal closures; desk scale."""
+    if group.is_abelian():
+        return False
+    if not group.is_perfect():
+        return False
+    full = group.order()
+    for c in group.conjugacy_classes():
+        if c.representative.is_identity():
+            continue
+        if group.normal_closure([c.representative]).order() != full:
+            return False
+    return True
+
+
+def _is_pseudosimple_oracle(group):
+    """Oracle: the chain-route verdict, checking every condition of the
+    definition directly.  Trivial center; every nontrivial quotient abelian
+    (normal closure of each nontrivial class contains the derived group);
+    the derived group nonabelian, perfect, and the join of its minimal
+    normal subgroups, all simple, permuted transitively by the group."""
+    not_power = "derived group not perfect-power-of-simple"
+    if group.center().order() > 1:
+        return structure.StructureVerdict(False, reason="center nontrivial")
+    derived = group.derived_subgroup()
+    if derived.is_abelian():
+        return structure.StructureVerdict(False, reason="derived group abelian")
+    dorder = derived.order()
+    for c in group.conjugacy_classes():
+        if c.representative.is_identity():
+            continue
+        closure = group.normal_closure([c.representative])
+        if not all(g in closure for g in derived.generators):
+            return structure.StructureVerdict(False, reason="nonabelian proper quotient")
+    if not derived.is_perfect():
+        return structure.StructureVerdict(False, reason=not_power)
+    closures = []
+    for c in derived.conjugacy_classes():
+        if c.representative.is_identity():
+            continue
+        n = derived.normal_closure([c.representative])
+        closures.append(derived if n.order() == dorder else n)
+    minimal = []
+    for n in closures:
+        if any(other.order() < n.order() and other.is_subgroup_of(n) for other in closures):
+            continue
+        if any(m.equals(n) for m in minimal):
+            continue
+        minimal.append(n)
+    if not minimal:
+        return structure.StructureVerdict(False, reason=not_power)
+    sizes = {m.order() for m in minimal}
+    if len(sizes) != 1 or not all(_is_nonabelian_simple_oracle(m) for m in minimal):
+        return structure.StructureVerdict(False, reason=not_power)
+    w = len(minimal)
+    joint = derived.subgroup([g for m in minimal for g in m.generators])
+    if joint.order() != dorder or dorder != minimal[0].order() ** w:
+        return structure.StructureVerdict(False, reason=not_power)
+    if w > 1:
+        # the group must permute the simple factors transitively
+        factor_sets = [frozenset(g.images for g in m.elements()) for m in minimal]
+        index = {fs: i for i, fs in enumerate(factor_sets)}
+        reached = {0}
+        frontier = [0]
+        while frontier:
+            new = []
+            for fi in frontier:
+                for g in group.generators:
+                    moved = frozenset(
+                        Permutation(images).conjugate_by(g).images for images in factor_sets[fi]
+                    )
+                    j = index.get(moved)
+                    if j is None:
+                        return structure.StructureVerdict(False, reason=not_power)
+                    if j not in reached:
+                        reached.add(j)
+                        new.append(j)
+            frontier = new
+        if len(reached) != w:
+            return structure.StructureVerdict(False, reason=not_power)
+    return structure.StructureVerdict(True, simple_factor_count=w)
+
+
+def _assert_pseudosimple_matches_oracle(group):
+    assert hw.is_pseudosimple(group) == _is_pseudosimple_oracle(group)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["a5", "s4", "s5", "s6", "pgl27", "ext_2s5", "ext_2s5_alt", "ext_sl25", "ext_2pgl27", "ext_2s6"],
+)
+def test_pseudosimple_matches_oracle_on_bundled_groups(name, request):
+    group = request.getfixturevalue(name)
+    if name.startswith("ext_"):
+        group = cover_group(group)
+    _assert_pseudosimple_matches_oracle(group)
+
+
+def test_pseudosimple_matches_oracle_on_small_groups():
+    s3 = PermGroup.symmetric(3)
+    c2_s3 = PermGroup.from_cycles(5, ["(1 2)", "(3 4 5)", "(3 4)"])
+    for group in [s3, c2_s3, *random_groups()]:
+        _assert_pseudosimple_matches_oracle(group)
+
+
+def test_pseudosimple_wreath_product_has_two_factors():
+    # A5 wr C2 on 10 points: the derived group A5 x A5, whose two factors
+    # the swap exchanges
+    G = PermGroup.from_cycles(10, ["(1 2 3)", "(1 2 3 4 5)", "(1 6)(2 7)(3 8)(4 9)(5 10)"])
+    v = hw.is_pseudosimple(G)
+    assert v == structure.StructureVerdict(True, simple_factor_count=2)
+    assert v == _is_pseudosimple_oracle(G)
+
+
+def test_pseudosimple_builds_no_chain_and_no_other_table(s6, monkeypatch):
+    # S6's own table, and the chain that builds it, exist before the check
+    s6.table()
+    built = []
+    for cls in (hw.StabilizerChain, hw.GroupTable):
+        init = cls.__init__
+        monkeypatch.setattr(
+            cls, "__init__", lambda self, *a, _init=init, **k: built.append(type(self)) or _init(self, *a, **k)
+        )
+    assert hw.is_pseudosimple(s6) == structure.StructureVerdict(True, simple_factor_count=1)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
