@@ -326,14 +326,14 @@ def monodromy_group(fiber, gen_arrays=None, words=None, lift_data=None, mass=Non
     r the GF(2) rank of the generators' per-orbit sign vectors (the group
     contains the product of the alternating groups, and the quotient by it
     is the span of those vectors); a single orbit reuses its own order, and
-    any other action takes the order of a chain on the whole fiber.
+    any other action takes the order of a chain on the whole fiber.  The
+    group on the whole fiber is built only on those chain routes.
     """
     if gen_arrays is None:
         words, gen_arrays = fiber_generator_arrays(fiber, words)
     names = tuple(w.name for w in words) if words else tuple(f"g{i}" for i in range(len(gen_arrays)))
     n = len(fiber)
     orbits = braid_orbits(fiber, gen_arrays, lift_data)
-    group = PermGroup(n, [Permutation(int(x) for x in arr) for arr in gen_arrays], name="monodromy")
     per_orbit = []
     sign_vectors = [0] * len(gen_arrays)
     for i, members in enumerate(orbits.orbit_members):
@@ -359,14 +359,14 @@ def monodromy_group(fiber, gen_arrays=None, words=None, lift_data=None, mass=Non
                 route=route,
             )
         )
-    quasi = quasi_fullness(group, orbits, per_orbit)
+    quasi = quasi_fullness(gen_arrays, orbits, per_orbit)
     if orbits.count == 1:
         order = per_orbit[0].group_order
     elif quasi:
         alternating = prod(max(1, factorial(v.size) // 2) for v in per_orbit)
         order = alternating * 2 ** _gf2_rank(sign_vectors)
     else:
-        order = group.order()
+        order = _fiber_group(gen_arrays).order()
     census = None
     if orbits.labels is not None:
         census = {
@@ -393,10 +393,18 @@ def fullness(report):
     return tuple(v.full for v in report.per_orbit)
 
 
-def quasi_fullness(group, orbits, per_orbit):
+def _fiber_group(arrays):
+    """The group generated by index arrays, on all of their points."""
+    return PermGroup(
+        len(arrays[0]), [Permutation(int(x) for x in arr) for arr in arrays], name="monodromy"
+    )
+
+
+def quasi_fullness(arrays, orbits, per_orbit):
     """Whether the action contains the product of its orbit alternating groups.
 
-    Requires every orbit individually full.  When the orbits of size >= 3
+    `arrays` are the generators' index arrays on all points.  Requires
+    every orbit individually full.  When the orbits of size >= 3
     all have size >= 5 and pairwise different sizes, that suffices: the
     perfect core of the group maps onto each A_n and trivially on orbits
     of size <= 2, and a subdirect product of pairwise non-isomorphic
@@ -411,16 +419,17 @@ def quasi_fullness(group, orbits, per_orbit):
     degrees = [v.size for v in per_orbit if v.size >= 3]
     if min(degrees, default=5) >= 5 and len(set(degrees)) == len(degrees):
         return True
-    return _quasi_fullness_by_chain(group, members)
+    return _quasi_fullness_by_chain(arrays, members)
 
 
-def _quasi_fullness_by_chain(group, members):
+def _quasi_fullness_by_chain(arrays, members):
     """Quasi-fullness of an action whose orbits are each full, by chains.
 
     The pointwise stabilizer of all other orbits (base ordered through them
     first) must restrict onto at least the alternating group of each orbit
     of size >= 3; Alt(X) is trivial on smaller orbits, which need nothing.
     """
+    group = _fiber_group(arrays)
     for i, orbit in enumerate(members):
         m = len(orbit)
         if m <= 2:

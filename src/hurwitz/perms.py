@@ -12,7 +12,12 @@ Conventions used throughout the package:
   derived ordering (elements, classes, orbits) comes from that order.
 
 Groups are backed by a deterministic Schreier-Sims stabilizer chain for
-orders and membership.  Everything else is read off a dense code table
+orders and membership.  Its first level takes Schreier generators from the
+generators the chain was given rather than from all strong generators:
+they generate the same group, and Schreier's lemma holds for any
+generating set, so the stabilizer of the first base point is still
+generated by what that level sifts (see `StabilizerChain`).  Everything
+else is read off a dense code table
 (`GroupTable`): conjugacy classes are orbits of conjugation by the
 generators, centralizers and the center are comparisons of table columns
 with rows (the center's order is the number of classes of size one),
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 
 import numpy as np
@@ -224,8 +230,8 @@ class Permutation:
 
 
 def _compose(p, q):
-    # raw image-tuple composition, left to right
-    return tuple(q[i] for i in p)
+    # raw image-tuple composition, left to right: x^(p*q) = q[p[x]]
+    return operator.itemgetter(*p)(q)
 
 
 def _pad256(p):
@@ -233,13 +239,13 @@ def _pad256(p):
 
 
 class _Level:
-    __slots__ = ("point", "transversal", "inv_transversal", "processed", "tree_edge")
+    __slots__ = ("point", "transversal", "inverse", "done", "tree_edge")
 
-    def __init__(self, point, ident):
+    def __init__(self, point, ident, inverse):
         self.point = point
         self.transversal = {point: ident}
-        self.inv_transversal = {point: ident}
-        self.processed = set()
+        self.inverse = {point: inverse}
+        self.done = {}
         self.tree_edge = {}
 
 
@@ -247,45 +253,75 @@ class StabilizerChain:
     """Deterministic Schreier-Sims stabilizer chain.
 
     Strong generators are kept in one list together with their depth (the
-    number of leading base points they fix); the acting set of level i is
-    every strong generator of depth >= i.  ``base_prefix`` forces the first
-    base points (their levels exist even with trivial orbits), which makes
-    the pointwise stabilizer of a prescribed point set directly readable
-    off the chain.  ``strategy`` picks later base points: "greedy" prefers
-    the point on the longest cycle of the residue that triggers the level
-    (shallower chains), "natural" takes the smallest moved point.
+    number of leading base points they fix); the acting set S_i of level
+    i >= 1 is every strong generator of depth >= i.  Level i >= 1 is
+    closed when every Schreier generator of S_i over its orbit sifts
+    through the levels below it; by induction from the bottom, the levels
+    from i on are then a chain of <S_i>, a group that S_i is the only
+    generating set of at hand.  Level 0 acts instead by the inputs, the
+    generators passed to `add` whose sift was nontrivial.  They generate
+    the same group G as S_0, since every strong generator is a product of
+    inputs and of transversal elements, which are words in the inputs.
+    Schreier's lemma gives generators of the stabilizer G_b from any
+    generating set of G (Seress, Permutation Group Algorithms, 2003, 4.2;
+    Holt-Eick-O'Brien, Handbook of CGT, 2005, 4.4), so once the inputs'
+    Schreier generators sift, <S_1> = G_b and the chain is complete.
+    Level 0 thus sifts |orbit| x |inputs| Schreier generators rather than
+    |orbit| x |S_0|.  ``sifts`` counts the Schreier generators sifted.
 
-    Internally permutations are bytes composed via str.translate when the
-    degree fits in one byte (the by-far common case here, and roughly an
-    order of magnitude faster than tuple composition), falling back to
-    tuples otherwise.
+    ``base_prefix`` forces the first base points (their levels exist even
+    with trivial orbits), which makes the pointwise stabilizer of a
+    prescribed point set directly readable off the chain.  ``strategy``
+    picks later base points: "greedy" prefers the point on the longest
+    cycle of the residue that triggers the level (shallower chains),
+    "natural" takes the smallest moved point.
+
+    Internally permutations are bytes when the degree fits in one byte
+    (the by-far common case here): a product p*q is p.translate(q padded
+    to 256 bytes), and every level keeps its inverse transversal, and the
+    chain its acting generators, as such padded tables.  Above 256 points
+    permutations are tuples and p*q is ``operator.itemgetter(*p)(q)``.
     """
 
     def __init__(self, generators, degree, base_prefix=(), strategy="greedy"):
+        if strategy not in ("greedy", "natural"):
+            raise InputError(f"unknown base strategy {strategy!r}; expected 'greedy' or 'natural'")
+        for b in base_prefix:
+            if not 0 <= b < degree:
+                raise InputError(f"base point {b} is outside the {degree} points 0..{degree - 1}")
         self.degree = degree
         self.strategy = strategy
         self._bytes_mode = degree <= 256
         if self._bytes_mode:
             self._ident = bytes(range(degree))
+            self._mul = bytes.translate
+            self._table = _pad256
         else:
             self._ident = tuple(range(degree))
-        self.levels = [_Level(b, self._ident) for b in base_prefix]
+            self._mul = _compose
+            self._table = tuple
+        # (base point, inverse tables) per level: what sift reads
+        self._path = []
+        self.levels = [self._new_level(b) for b in base_prefix]
         self.sgens = []
         self.sgen_depth = []
-        self._pad = {}
+        self._sgen_tables = []
+        self.sifts = 0
+        # (index, images, table) of the generators level 0 acts by, and of
+        # the strong generators acting on each level i >= 1 (rebuilt after
+        # an insertion)
+        self._inputs = []
+        self._acting_cache = {}
         for gen in generators:
             self.add(gen.images if isinstance(gen, Permutation) else gen)
 
+    def _new_level(self, point):
+        level = _Level(point, self._ident, self._table(self._ident))
+        self._path.append((point, level.inverse))
+        return level
+
     def _raw(self, images):
         return bytes(images) if self._bytes_mode else tuple(images)
-
-    def _compose(self, p, q):
-        if self._bytes_mode:
-            tab = self._pad.get(q)
-            if tab is None:
-                tab = self._pad[q] = _pad256(q)
-            return p.translate(tab)
-        return _compose(p, q)
 
     def _invert(self, p):
         inv = bytearray(len(p)) if self._bytes_mode else [0] * len(p)
@@ -305,19 +341,20 @@ class StabilizerChain:
     def sift(self, images, start=0):
         """Reduce through the chain; return (residue, stall level)."""
         g = self._raw(images)
+        mul = self._mul
         ident = self._ident
-        for i in range(start, len(self.levels)):
-            level = self.levels[i]
-            beta = g[level.point]
-            if beta == level.point:
-                continue
-            u = level.inv_transversal.get(beta)
-            if u is None:
-                return g, i
-            g = self._compose(g, u)
-            if g == ident:
-                return g, len(self.levels)
-        return g, len(self.levels)
+        path = self._path
+        for i in range(start, len(path)):
+            point, inverse = path[i]
+            beta = g[point]
+            if beta != point:
+                u = inverse.get(beta)
+                if u is None:
+                    return g, i
+                g = mul(g, u)
+                if g == ident:
+                    break
+        return g, len(path)
 
     def contains(self, perm):
         images = perm.images if isinstance(perm, Permutation) else perm
@@ -326,9 +363,11 @@ class StabilizerChain:
 
     def add(self, images):
         """Add a generator, extending the chain to stay strongly generated."""
-        residue, i = self.sift(images)
+        g = self._raw(images)
+        residue, i = self.sift(g)
         if residue == self._ident:
             return False
+        self._inputs.append((len(self._inputs), g, self._table(g)))
         self._insert(i, residue)
         for k in range(i, -1, -1):
             self._fix_level(k)
@@ -358,36 +397,43 @@ class StabilizerChain:
     def _insert(self, depth, residue):
         # residue fixes the base points of all levels < depth
         if depth == len(self.levels):
-            self.levels.append(_Level(self._pick_point(residue), self._ident))
+            self.levels.append(self._new_level(self._pick_point(residue)))
         self.sgens.append(residue)
         self.sgen_depth.append(depth)
+        self._sgen_tables.append(self._table(residue))
+        self._acting_cache.clear()
 
     def _acting(self, i):
-        return [
-            (si, s)
-            for si, (s, d) in enumerate(zip(self.sgens, self.sgen_depth))
-            if d >= i
-        ]
+        if i == 0:
+            return self._inputs
+        acting = self._acting_cache.get(i)
+        if acting is None:
+            acting = self._acting_cache[i] = [
+                (si, s, tab)
+                for si, (s, d, tab) in enumerate(
+                    zip(self.sgens, self.sgen_depth, self._sgen_tables)
+                )
+                if d >= i
+            ]
+        return acting
 
-    def _extend_orbit(self, i):
+    def _extend_orbit(self, level, acting):
         # incremental BFS; existing transversal entries are never rewritten,
         # so processed Schreier pairs stay valid
-        level = self.levels[i]
-        acting = self._acting(i)
+        mul = self._mul
         trans = level.transversal
+        inverse = level.inverse
+        tree_edge = level.tree_edge
         queue = list(trans)
-        qi = 0
-        while qi < len(queue):
-            p = queue[qi]
-            qi += 1
+        for p in queue:
             up = trans[p]
-            for si, s in acting:
+            for si, s, tab in acting:
                 q = s[p]
                 if q not in trans:
-                    u = self._compose(up, s)
+                    u = mul(up, tab)
                     trans[q] = u
-                    level.inv_transversal[q] = self._invert(u)
-                    level.tree_edge[q] = (p, si)
+                    inverse[q] = self._table(self._invert(u))
+                    tree_edge[q] = (p, si)
                     queue.append(q)
 
     def _fix_level(self, i):
@@ -395,40 +441,45 @@ class StabilizerChain:
 
         Nontrivial residues are inserted at the level where sifting stalls
         (always deeper than i) and the intermediate levels are fixed first,
-        deepest first; insertions deeper than i enlarge level i's acting
-        set, so the orbit is re-extended and the scan repeated.
+        deepest first.  Insertions deeper than i >= 1 enlarge level i's
+        acting set, so its orbit is re-extended and the scan repeated; level
+        0's acting set (the inputs) does not change here, so one scan
+        closes it.  The acting lists only grow at their end, so the pairs
+        processed at a point are a prefix of the list (``done[p]`` long).
         """
         level = self.levels[i]
         ident = self._ident
+        mul = self._mul
+        trans = level.transversal
+        inverse = level.inverse
+        tree_edge = level.tree_edge
+        done = level.done
         while True:
-            self._extend_orbit(i)
-            added = False
-            points = list(level.transversal)
             acting = self._acting(i)
-            processed = level.processed
-            trans = level.transversal
-            inv_trans = level.inv_transversal
-            tree_edge = level.tree_edge
-            for p in points:
+            self._extend_orbit(level, acting)
+            added = False
+            count = len(acting)
+            for p in list(trans):
+                start = done.get(p, 0)
+                if start == count:
+                    continue
+                done[p] = count
                 up = trans[p]
-                for si, s in acting:
-                    key = (p, si)
-                    if key in processed:
-                        continue
-                    processed.add(key)
+                for si, s, tab in acting[start:]:
                     q = s[p]
-                    if tree_edge.get(q) == key:
+                    if tree_edge.get(q) == (p, si):
                         continue  # tree edge: Schreier generator is trivial
-                    schreier = self._compose(self._compose(up, s), inv_trans[q])
+                    schreier = mul(mul(up, tab), inverse[q])
                     if schreier == ident:
                         continue
+                    self.sifts += 1
                     residue, j = self.sift(schreier, i + 1)
                     if residue != ident:
                         self._insert(j, residue)
                         for k in range(j, i, -1):
                             self._fix_level(k)
                         added = True
-            if not added and len(points) == len(level.transversal):
+            if not added or i == 0:
                 break
 
     def strong_generators(self, from_level=0):

@@ -9,6 +9,7 @@ import pytest
 
 import hurwitz as hw
 from hurwitz import PermGroup, Permutation
+from hurwitz import monodromy as monodromy_module
 from hurwitz import perms as perms_module
 from hurwitz.monodromy import (
     MonodromyReport,
@@ -209,7 +210,6 @@ def test_quasi_fullness_synthetic(monkeypatch):
     prod_gens = _product_action(A5.generators, 5)
 
     def run(gens):
-        G = PermGroup(10, gens)
         arrays = [np.array(g.images) for g in gens]
         orbits = braid_orbits(_FakeFiber(10), arrays)
         per_orbit = []
@@ -220,7 +220,7 @@ def test_quasi_fullness_synthetic(monkeypatch):
                 OrbitVerdict(len(members), order, full_by_order(len(members), order))
             )
         built = _count_chains(monkeypatch)
-        quasi = quasi_fullness(G, orbits, per_orbit)
+        quasi = quasi_fullness(arrays, orbits, per_orbit)
         monkeypatch.undo()
         return quasi, per_orbit, built
 
@@ -270,7 +270,7 @@ def _chain_oracle(arrays):
         blocks = None if full else _block_system(perms, len(members))
         per_orbit.append((len(members), order, full, blocks))
     quasi = all(v[2] for v in per_orbit) and (
-        len(per_orbit) <= 1 or _quasi_fullness_by_chain(group, orbits.orbit_members)
+        len(per_orbit) <= 1 or _quasi_fullness_by_chain(arrays, orbits.orbit_members)
     )
     return group.order(), per_orbit, quasi
 
@@ -409,6 +409,24 @@ def test_four_point_orbit_takes_chain_route(monkeypatch):
 
 def test_single_full_orbit_quasi_full(h25_data):
     assert h25_data["report"].quasi_full
+
+
+def test_jordan_orbits_build_no_whole_fiber_group(h25_data, monkeypatch):
+    # every h25 orbit goes by the Jordan route, so neither quasi-fullness
+    # nor the order needs the group on the whole fiber
+    built = []
+
+    class CountingPermGroup(PermGroup):
+        def __init__(self, degree, generators, name=None):
+            built.append(degree)
+            super().__init__(degree, generators, name)
+
+    monkeypatch.setattr(monodromy_module, "PermGroup", CountingPermGroup)
+    for fiber in (h25_data["fiber_inn"], h25_data["fiber_aut"]):
+        rep = monodromy_group(fiber)
+        assert [v.route for v in rep.per_orbit] == ["jordan"]
+    assert rep.to_json_dict() == h25_data["report"].to_json_dict()
+    assert not built
 
 
 # ---------------------------------------------------------------------------

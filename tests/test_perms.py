@@ -18,8 +18,11 @@ from hypothesis import strategies as st
 
 import hurwitz as hw
 from hurwitz import PermGroup, Permutation, StabilizerChain, orbit_labels, orbit_partition
+from hurwitz import perms as perms_module
+from hurwitz.monodromy import _restriction_perms, braid_orbits, fiber_generator_arrays
 from hurwitz.perms import RowIndex, SubgroupCloser, conjugation_maps, row_keys, sorted_rows
 
+from _chain_oracle import ChainOracle
 from conftest import class_by_type, cover_group, random_groups, random_perm
 
 
@@ -265,6 +268,131 @@ def test_normal_closure(s4):
     assert v4.order() == 4
     trans = Permutation.from_cycles("(1 2)", 4)
     assert s4.normal_closure([trans]).order() == 24
+
+
+def test_chain_rejects_unknown_strategy():
+    with pytest.raises(hw.InputError, match="bogus"):
+        StabilizerChain([Permutation.from_cycles("(1 2)", 3)], 3, strategy="bogus")
+
+
+def test_chain_rejects_base_point_outside_degree():
+    with pytest.raises(hw.InputError, match="base point 7"):
+        StabilizerChain([Permutation.from_cycles("(1 2 3 4 5)", 5)], 5, base_prefix=(7,))
+
+
+# ---------------------------------------------------------------------------
+# chains against the former algorithm (every level acting by S_i)
+
+
+def _random_word(rng, gens, degree, length=12):
+    word = Permutation.identity(degree)
+    for _ in range(length if gens else 0):
+        word = word * rng.choice(gens)
+    return word
+
+
+def _assert_chain_matches_oracle(gens, degree, rng, base_prefix=(), strategy="greedy"):
+    """Order, membership and the prefix's pointwise stabilizer against ChainOracle."""
+    chain = StabilizerChain(gens, degree, base_prefix, strategy)
+    oracle = ChainOracle(gens, degree, base_prefix, strategy)
+    assert chain.order() == oracle.order()
+    assert chain.base()[: len(base_prefix)] == list(base_prefix)
+    probes = [random_perm(rng, degree) for _ in range(8)]
+    probes += [_random_word(rng, gens, degree) for _ in range(8)]
+    for p in probes:
+        assert chain.contains(p) == oracle.contains(p)
+    # what _quasi_fullness_by_chain reads: the strong generators from the
+    # prefix on generate the pointwise stabilizer of the prefix
+    k = len(base_prefix)
+    stab = chain.strong_generators(from_level=k)
+    assert all(g[b] == b for g in stab for b in base_prefix)
+    pointwise = 1
+    for level in oracle.levels[k:]:
+        pointwise *= len(level.transversal)
+    assert PermGroup(degree, [Permutation(g) for g in stab]).order() == pointwise
+    return chain, oracle
+
+
+def _sparse_groups(count, seed):
+    """Seeded groups of degree 257-300 whose generators each permute 9 of
+    one window of 14 points: tuple-mode chains of at most 14 levels."""
+    rng = random.Random(seed)
+    groups = []
+    for _ in range(count):
+        degree = rng.randint(257, 300)
+        window = rng.sample(range(degree), 14)
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            moved = rng.sample(window, 9)
+            images = list(range(degree))
+            for a, b in zip(moved, rng.sample(moved, 9)):
+                images[a] = b
+            gens.append(Permutation(images))
+        groups.append((degree, gens, window))
+    return groups
+
+
+def test_chain_matches_oracle_on_random_groups():
+    rng = random.Random(37)
+    for G in random_groups():
+        prefix = tuple(rng.randrange(G.degree) for _ in range(rng.randint(1, 2)))
+        for base_prefix in ((), prefix):
+            for strategy in ("greedy", "natural"):
+                _assert_chain_matches_oracle(G.generators, G.degree, rng, base_prefix, strategy)
+
+
+def test_chain_matches_oracle_in_tuple_mode():
+    rng = random.Random(41)
+    for degree, gens, window in _sparse_groups(6, 43):
+        _assert_chain_matches_oracle(gens, degree, rng)
+        _assert_chain_matches_oracle(gens, degree, rng, tuple(window[:2]), "natural")
+
+
+def test_chain_matches_oracle_through_repeated_adds(monkeypatch):
+    rng = random.Random(47)
+    cases = [(G.degree, list(G.generators)) for G in random_groups()[:25]]
+    cases += [(degree, gens) for degree, gens, _ in _sparse_groups(2, 53)]
+    for degree, gens in cases:
+        # one add per element, as PermGroup.normal_closure calls it
+        chain = StabilizerChain([], degree)
+        oracle = ChainOracle([], degree)
+        for _ in range(6):
+            x = _random_word(rng, gens, degree, length=rng.randint(1, 6))
+            assert chain.add(x.images) == oracle.add(x.images)
+            assert chain.order() == oracle.order()
+        G = PermGroup(degree, gens)
+        seed = [_random_word(rng, gens, degree, length=3)]
+        probes = [_random_word(rng, gens, degree) for _ in range(6)]
+        monkeypatch.setattr(perms_module, "StabilizerChain", ChainOracle)
+        want = G.normal_closure(seed)
+        want_members = [p in want for p in probes]
+        want_order = want.order()
+        monkeypatch.undo()
+        got = G.normal_closure(seed)
+        assert got.order() == want_order
+        assert [p in got for p in probes] == want_members
+
+
+@pytest.fixture(scope="module")
+def s4_42_orbit(s4):
+    """The 160-point imprimitive orbit of S4 at classes (2,1,1), (4) and
+    nu = (4, 2), inn mode: a chain of 96 levels."""
+    h = hw.validate_parameter(s4, [class_by_type(s4, (2, 1, 1)), class_by_type(s4, (4,))], [4, 2])
+    fiber = hw.build_fiber(h, "inn")
+    arrays = fiber_generator_arrays(fiber)[1]
+    members = [m for m in braid_orbits(fiber, arrays).orbit_members if len(m) == 160]
+    assert len(members) == 1
+    return _restriction_perms(arrays, members[0])
+
+
+def test_chain_matches_oracle_on_s4_42_orbit(s4_42_orbit):
+    rng = random.Random(59)
+    chain, oracle = _assert_chain_matches_oracle(s4_42_orbit, 160, rng)
+    assert chain.order() == 24966908504806995262901468519458343826960638143365120
+    # the sift count is a deterministic work count, and level 0 acting by
+    # the inputs alone sifts fewer Schreier generators than S_0 did
+    assert StabilizerChain(s4_42_orbit, 160).sifts == chain.sifts
+    assert chain.sifts < oracle.sifts
 
 
 # ---------------------------------------------------------------------------
