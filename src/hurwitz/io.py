@@ -83,6 +83,10 @@ def _require(data, key, types, pointer):
     return value
 
 
+def _is_positive_int(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def parse_permutation(value, degree, pointer):
     """A permutation from cycle notation (1-based) or an image array (0-based)."""
     if isinstance(value, str):
@@ -144,7 +148,10 @@ def select_class(group, selector, pointer):
         if "order" in selector:
             matches = [c for c in matches if c.order() == selector["order"]]
         if "cycle_type" in selector:
-            want = tuple(sorted(selector["cycle_type"], reverse=True))
+            parts = selector["cycle_type"]
+            if not isinstance(parts, list) or not all(_is_positive_int(v) for v in parts):
+                raise InputError("'cycle_type' must be a list of positive integers", pointer=pointer)
+            want = tuple(sorted(parts, reverse=True))
             total = sum(want)
             if total > group.degree:
                 raise InputError("cycle_type exceeds the degree", pointer=pointer)
@@ -210,6 +217,8 @@ def load_cover_file(path, base_group=None):
         base_ref = _require(data, "base_group", (str,), "")
         base_group = resolve_group(base_ref, relative_to=path.parent)
     degree = data.get("degree")
+    if degree is not None and not _is_positive_int(degree):
+        raise InputError("'degree' must be a positive integer", pointer="/degree")
     if degree is None:
         degree = max(
             (

@@ -12,12 +12,13 @@ Conventions used throughout the package:
   derived ordering (elements, classes, orbits) comes from that order.
 
 Groups are backed by a deterministic Schreier-Sims stabilizer chain for
-orders and membership.  Its first level takes Schreier generators from the
-generators the chain was given rather than from all strong generators:
-they generate the same group, and Schreier's lemma holds for any
-generating set, so the stabilizer of the first base point is still
-generated by what that level sifts (see `StabilizerChain`).  Everything
-else is read off a dense code table
+orders and membership.  Every level acts by the elements that entered it:
+the generators and Schreier generators whose sift reached the level
+without sifting out, in their form there.  Schreier's lemma holds for any
+generating set, so each level's Schreier generators generate the
+stabilizer of its base point in the group its entrants generate, and that
+group is the pointwise stabilizer of the base points above it (see
+`StabilizerChain`).  Everything else is read off a dense code table
 (`GroupTable`): conjugacy classes are orbits of conjugation by the
 generators, centralizers and the center are comparisons of table columns
 with rows (the center's order is the number of classes of size one),
@@ -239,48 +240,57 @@ def _pad256(p):
 
 
 class _Level:
-    __slots__ = ("point", "transversal", "inverse", "done", "tree_edge")
+    __slots__ = ("point", "acting", "transversal", "inverse", "done")
 
     def __init__(self, point, ident, inverse):
         self.point = point
+        # padded tables of the elements that entered this level (T_i)
+        self.acting = []
         self.transversal = {point: ident}
         self.inverse = {point: inverse}
         self.done = {}
-        self.tree_edge = {}
 
 
 class StabilizerChain:
     """Deterministic Schreier-Sims stabilizer chain.
 
-    Strong generators are kept in one list together with their depth (the
-    number of leading base points they fix); the acting set S_i of level
-    i >= 1 is every strong generator of depth >= i.  Level i >= 1 is
-    closed when every Schreier generator of S_i over its orbit sifts
-    through the levels below it; by induction from the bottom, the levels
-    from i on are then a chain of <S_i>, a group that S_i is the only
-    generating set of at hand.  Level 0 acts instead by the inputs, the
-    generators passed to `add` whose sift was nontrivial.  They generate
-    the same group G as S_0, since every strong generator is a product of
-    inputs and of transversal elements, which are words in the inputs.
-    Schreier's lemma gives generators of the stabilizer G_b from any
-    generating set of G (Seress, Permutation Group Algorithms, 2003, 4.2;
-    Holt-Eick-O'Brien, Handbook of CGT, 2005, 4.4), so once the inputs'
-    Schreier generators sift, <S_1> = G_b and the chain is complete.
-    Level 0 thus sifts |orbit| x |inputs| Schreier generators rather than
-    |orbit| x |S_0|.  ``sifts`` counts the Schreier generators sifted.
+    One rule for every level: level i acts by T_i, the elements that
+    entered it.  These are the inputs and Schreier generators whose sift
+    reached level i and ended in a nontrivial residue, each in the form it
+    had on reaching level i, so it fixes the first i base points.  A sift
+    that stalls at level j enters every level it passed through, from the
+    one it started at down to j (a residue that fixes every base point
+    founds a new level j), and those levels are closed again, deepest
+    first.  Level i is closed when each Schreier generator of T_i over its
+    orbit sifts through the levels below it.
+
+    Why that is a chain: T_{i+1} lies in <T_i>, since an element of
+    T_{i+1} is a Schreier generator of level i, or it entered level i too
+    and its form at level i+1 is its form at level i times the inverse of
+    a transversal element of level i.  Schreier's lemma gives generators
+    of a point stabilizer from any generating set (Seress, Permutation
+    Group Algorithms, 2003, 4.2; Holt-Eick-O'Brien, Handbook of CGT, 2005,
+    4.4), so by induction from the bottom the levels from i on are a chain
+    of <T_i>, and <T_{i+1}> is the stabilizer of the i-th base point in
+    <T_i>.  With <T_0> = G, the group the inputs generate, <T_k> is G^(k),
+    the pointwise stabilizer of the first k base points.  A level's own
+    Schreier generators only enter deeper levels, so one scan over its
+    orbit closes it, and the orbit grows in the same scan.  ``sifts``
+    counts the Schreier generators sifted.
 
     ``base_prefix`` forces the first base points (their levels exist even
     with trivial orbits), which makes the pointwise stabilizer of a
     prescribed point set directly readable off the chain.  ``strategy``
     picks later base points: "greedy" prefers the point on the longest
-    cycle of the residue that triggers the level (shallower chains),
+    cycle of the residue that founds the level (shallower chains),
     "natural" takes the smallest moved point.
 
     Internally permutations are bytes when the degree fits in one byte
     (the by-far common case here): a product p*q is p.translate(q padded
-    to 256 bytes), and every level keeps its inverse transversal, and the
-    chain its acting generators, as such padded tables.  Above 256 points
-    permutations are tuples and p*q is ``operator.itemgetter(*p)(q)``.
+    to 256 bytes), and every level keeps its inverse transversal and its
+    acting elements as such padded tables, whose entry p is the image of
+    p.  Above 256 points permutations are tuples and p*q is
+    ``operator.itemgetter(*p)(q)``.
     """
 
     def __init__(self, generators, degree, base_prefix=(), strategy="greedy"):
@@ -303,15 +313,7 @@ class StabilizerChain:
         # (base point, inverse tables) per level: what sift reads
         self._path = []
         self.levels = [self._new_level(b) for b in base_prefix]
-        self.sgens = []
-        self.sgen_depth = []
-        self._sgen_tables = []
         self.sifts = 0
-        # (index, images, table) of the generators level 0 acts by, and of
-        # the strong generators acting on each level i >= 1 (rebuilt after
-        # an insertion)
-        self._inputs = []
-        self._acting_cache = {}
         for gen in generators:
             self.add(gen.images if isinstance(gen, Permutation) else gen)
 
@@ -363,15 +365,28 @@ class StabilizerChain:
 
     def add(self, images):
         """Add a generator, extending the chain to stay strongly generated."""
-        g = self._raw(images)
-        residue, i = self.sift(g)
-        if residue == self._ident:
+        j = self._enter(self._raw(images), 0)
+        if j is None:
             return False
-        self._inputs.append((len(self._inputs), g, self._table(g)))
-        self._insert(i, residue)
-        for k in range(i, -1, -1):
+        for k in range(j, -1, -1):
             self._fix_level(k)
         return True
+
+    def _enter(self, g, start):
+        """Sift g from level `start`.  If the residue is nontrivial, g enters
+        every level its sift reached, in its form there, and the stall level
+        is returned; the caller then closes those levels, deepest first."""
+        residue, j = self.sift(g, start)
+        if residue == self._ident:
+            return None
+        if j == len(self.levels):
+            self.levels.append(self._new_level(self._pick_point(residue)))
+        for k in range(start, j + 1):
+            point, inverse = self._path[k]
+            self.levels[k].acting.append(self._table(g))
+            if k < j:
+                g = self._mul(g, inverse[g[point]])
+        return j
 
     def _pick_point(self, residue):
         moved = [i for i, j in enumerate(residue) if i != j]
@@ -394,98 +409,60 @@ class StabilizerChain:
                 best, best_len = start, length
         return best
 
-    def _insert(self, depth, residue):
-        # residue fixes the base points of all levels < depth
-        if depth == len(self.levels):
-            self.levels.append(self._new_level(self._pick_point(residue)))
-        self.sgens.append(residue)
-        self.sgen_depth.append(depth)
-        self._sgen_tables.append(self._table(residue))
-        self._acting_cache.clear()
-
-    def _acting(self, i):
-        if i == 0:
-            return self._inputs
-        acting = self._acting_cache.get(i)
-        if acting is None:
-            acting = self._acting_cache[i] = [
-                (si, s, tab)
-                for si, (s, d, tab) in enumerate(
-                    zip(self.sgens, self.sgen_depth, self._sgen_tables)
-                )
-                if d >= i
-            ]
-        return acting
-
-    def _extend_orbit(self, level, acting):
-        # incremental BFS; existing transversal entries are never rewritten,
-        # so processed Schreier pairs stay valid
-        mul = self._mul
-        trans = level.transversal
-        inverse = level.inverse
-        tree_edge = level.tree_edge
-        queue = list(trans)
-        for p in queue:
-            up = trans[p]
-            for si, s, tab in acting:
-                q = s[p]
-                if q not in trans:
-                    u = mul(up, tab)
-                    trans[q] = u
-                    inverse[q] = self._table(self._invert(u))
-                    tree_edge[q] = (p, si)
-                    queue.append(q)
-
     def _fix_level(self, i):
-        """Process Schreier generators of level i until the level is closed.
+        """Extend level i's orbit by its new acting elements and sift the new
+        Schreier generators, one pass over the orbit in BFS order.
 
-        Nontrivial residues are inserted at the level where sifting stalls
-        (always deeper than i) and the intermediate levels are fixed first,
-        deepest first.  Insertions deeper than i >= 1 enlarge level i's
-        acting set, so its orbit is re-extended and the scan repeated; level
-        0's acting set (the inputs) does not change here, so one scan
-        closes it.  The acting lists only grow at their end, so the pairs
-        processed at a point are a prefix of the list (``done[p]`` long).
+        The acting list only grows at its end, so the pairs processed at a
+        point are a prefix of it (``done[p]`` long).  A pair that finds a
+        new point is the tree edge reaching it, whose Schreier generator is
+        trivial; transversal entries are never rewritten.
         """
         level = self.levels[i]
         ident = self._ident
         mul = self._mul
+        acting = level.acting
+        count = len(acting)
         trans = level.transversal
         inverse = level.inverse
-        tree_edge = level.tree_edge
         done = level.done
-        while True:
-            acting = self._acting(i)
-            self._extend_orbit(level, acting)
-            added = False
-            count = len(acting)
-            for p in list(trans):
-                start = done.get(p, 0)
-                if start == count:
+        queue = list(trans)
+        for p in queue:
+            start = done.get(p, 0)
+            if start == count:
+                continue
+            done[p] = count
+            up = trans[p]
+            for tab in acting[start:]:
+                q = tab[p]
+                u = mul(up, tab)
+                if q not in trans:
+                    trans[q] = u
+                    inverse[q] = self._table(self._invert(u))
+                    queue.append(q)
                     continue
-                done[p] = count
-                up = trans[p]
-                for si, s, tab in acting[start:]:
-                    q = s[p]
-                    if tree_edge.get(q) == (p, si):
-                        continue  # tree edge: Schreier generator is trivial
-                    schreier = mul(mul(up, tab), inverse[q])
-                    if schreier == ident:
-                        continue
-                    self.sifts += 1
-                    residue, j = self.sift(schreier, i + 1)
-                    if residue != ident:
-                        self._insert(j, residue)
-                        for k in range(j, i, -1):
-                            self._fix_level(k)
-                        added = True
-            if not added or i == 0:
-                break
+                schreier = mul(u, inverse[q])
+                if schreier == ident:
+                    continue
+                self.sifts += 1
+                j = self._enter(schreier, i + 1)
+                if j is not None:
+                    for k in range(j, i, -1):
+                        self._fix_level(k)
 
     def strong_generators(self, from_level=0):
-        return [
-            tuple(s) for s, d in zip(self.sgens, self.sgen_depth) if d >= from_level
-        ]
+        """T_k for k = from_level, as image tuples: generators of G^(k), the
+        pointwise stabilizer of the first k base points.
+
+        <T_k> = G^(k) by the induction in the class docstring, which rests
+        on T_{k+1} lying in <T_k>.  It is also <S_k>, S_k being the residues
+        of the elements that entered levels >= k (the strong generators of
+        depth >= k): S_k lies in the union of the T_j for j >= k, hence in
+        <T_k>, which lies in G^(k) = <S_k>.
+        """
+        if from_level >= len(self.levels):
+            return []
+        return [tuple(t[: self.degree]) for t in self.levels[from_level].acting]
 
 
 class ConjugacyClass:

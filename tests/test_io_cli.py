@@ -219,6 +219,28 @@ def test_cli_malformed_json_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("degree", ["80", 80.0, True, 0, -3])
+def test_cli_cover_degree_must_be_a_positive_int(degree, tmp_path):
+    cover = json.loads(resolve_reference("2S5", "covers").read_text())
+    cover["degree"] = degree
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(cover))
+    code, report = run_cli(["validate", "h25", "--cover", str(path)], tmp_path)
+    assert code == 2
+    assert "(at /degree)" in report["error"]
+
+
+@pytest.mark.parametrize("cycle_type", [2, "5", [2, "x"], [2, True], [2, 1.0], None])
+def test_cli_cycle_type_must_be_a_list_of_positive_ints(cycle_type, tmp_path):
+    param = tmp_path / "p.json"
+    param.write_text(
+        json.dumps({"group": "S5", "classes": ["(1 2)", {"cycle_type": cycle_type}], "nu": [4, 1]})
+    )
+    code, report = run_cli(["validate", str(param)], tmp_path)
+    assert code == 2
+    assert "(at /classes/1)" in report["error"]
+
+
 def test_cli_budget_exit_3(tmp_path):
     code, report = run_cli(
         ["fiber", "a5_c3_n6", "--budget-tuples", "1000"], tmp_path
