@@ -197,7 +197,9 @@ def load_parameter_file(path):
     nu = data.get("nu")
     parameter = None
     if nu is not None:
-        if not isinstance(nu, list) or not all(isinstance(v, int) for v in nu):
+        if not isinstance(nu, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in nu
+        ):
             raise InputError("'nu' must be a list of integers", pointer="/nu")
         parameter = validate_parameter(group, classes, nu)
     return ParameterInput(group, classes, nu, parameter, name=data.get("name") or path.stem)

@@ -24,10 +24,12 @@ generators, centralizers and the center are comparisons of table columns
 with rows (the center's order is the number of classes of size one),
 normal closures, the derived subgroup among them, are seed codes closed
 under conjugation by the generators, and the cosets of the derived
-subgroup are orbits of right multiplication by its generators.  The
-chain-backed `PermGroup.center`, `derived_subgroup`, `normal_closure` and
-`is_perfect` are the route for groups without a table, such as fiber
-powers and monodromy groups.  A table is built in one of two ways:
+subgroup are orbits of right multiplication by its generators.  A
+subgroup generated by codes grows one left coset at a time from a subgroup
+already known (`GroupTable.closure_codes`).  The chain-backed
+`PermGroup.center`, `derived_subgroup`, `normal_closure` and `is_perfect`
+are the route for groups without a table, such as fiber powers and
+monodromy groups.  A table is built in one of two ways:
 `PermGroup.table()` materializes the group's elements (capped) and codes
 them by their place in the sorted element list, and
 `GroupTable.from_arrays` takes the tables of a quotient whose codes are
@@ -629,19 +631,26 @@ def orbit_labels(step):
     while True:
         start = labels.copy()
         for s in step:
-            parent = labels.copy()
-            grand = parent[parent]
-            across = grand[s]
-            # hook only where it lowers a label: the scatter is the slow part
-            lower = across < grand
-            np.minimum.at(labels, parent[lower], across[lower])
-            lower = grand < across
-            np.minimum.at(labels, parent[s][lower], grand[lower])
-            np.minimum(labels, across, out=labels)
-            labels[s] = np.minimum(labels[s], grand)
+            _hook(labels, s)
         labels = labels[labels]
         if np.array_equal(labels, start):
             return labels
+
+
+def _hook(labels, s):
+    """One hooking pass of `orbit_labels` along the edges x -- s[x], in
+    place.  Its temporaries of len(labels) die on return, so the next pass
+    does not allocate its own while they are still held."""
+    parent = labels.copy()
+    grand = parent[parent]
+    across = grand[s]
+    # hook only where it lowers a label: the scatter is the slow part
+    lower = across < grand
+    np.minimum.at(labels, parent[lower], across[lower])
+    lower = grand < across
+    np.minimum.at(labels, parent[s[lower]], grand[lower])
+    np.minimum(labels, across, out=labels)
+    labels[s] = np.minimum(labels[s], grand, out=grand)
 
 
 def label_orbits(labels):
@@ -817,16 +826,6 @@ class RowIndex:
         ):
             raise InternalCheckError("row missing from its sorted index: enumeration bug")
         return rank
-
-
-def subgroup_codes(mul, identity, codes):
-    """Subgroup generated by codes of a dense multiplication table, sorted.
-
-    It is the orbit of the identity under right multiplication by the
-    generators.
-    """
-    gens = np.unique(np.asarray(codes, dtype=np.int64))
-    return tuple(orbit_partition(mul[:, gens].T, [identity])[0].tolist())
 
 
 def conjugation_maps(mul, inv, codes):
@@ -1198,9 +1197,54 @@ class GroupTable:
         """Sorted codes of the elements commuting with the element `code`."""
         return np.nonzero(self.mul[:, code] == self.mul[code])[0]
 
-    def closure_codes(self, codes):
-        """Subgroup generated by the given codes, as a sorted tuple of codes."""
-        return subgroup_codes(self.mul, self.identity, codes)
+    def closure_codes(self, codes, subgroup=None):
+        """The subgroup generated by `subgroup` and the given codes, as a
+        sorted tuple of codes.
+
+        `subgroup` is the sorted codes of a subgroup already known (default
+        the trivial one).  The closure grows from it by left cosets, one
+        generator at a time (Dimino's algorithm; Butler, Fundamental
+        Algorithms for Permutation Groups, 1991).  While K is the subgroup
+        found so far and c is a code outside it, the set S starts as K and
+        is a union of left cosets y*K.  Each round takes the elements x
+        that entered S last, forms x*c, and adds the whole coset y*K of
+        every y = x*c outside S.  When a round adds nothing, S is closed
+        under right multiplication by K and by c and holds the identity, so
+        it is <K, c>.  Every element of <K, c> is multiplied by c once, and
+        every new coset is gathered once per survivor in it.  S lies in
+        <K, c>, whose order divides |G| and is a multiple of |K|, so once
+        |S| exceeds |G| / p, for p the least prime factor of |G : K|,
+        <K, c> is G (Lagrange) and growth stops there.
+        """
+        mul, size = self.mul, self.size
+        inside = np.zeros(size, dtype=bool)
+        inside[[self.identity] if subgroup is None else np.asarray(subgroup)] = True
+        members = inside.nonzero()[0]
+        pending = np.asarray(codes, dtype=np.int64)
+        while len(members) < size:
+            pending = pending[~inside[pending]]
+            if not pending.size:
+                break
+            c = pending[0]
+            frontier = members
+            count = len(members)
+            proper = size // _prime_factors(size // count)[0]
+            while True:
+                y = mul[frontier, c]
+                y = y[~inside[y]]
+                if not y.size:
+                    break
+                # each y*K lies outside S; survivors in one coset repeat it
+                fresh = np.zeros(size, dtype=bool)
+                fresh[mul[y[:, None], members]] = True
+                inside |= fresh
+                frontier = fresh.nonzero()[0]
+                count += len(frontier)
+                if count > proper:
+                    inside[:] = True
+                    break
+            members = inside.nonzero()[0]
+        return tuple(members.tolist())
 
     def commutator(self, a, b):
         """Code(s) of a^-1 b^-1 a b; a and b may be code arrays that broadcast."""
@@ -1218,16 +1262,19 @@ class GroupTable:
         so far, so the generating set stays small."""
         mul, inv = self.mul, self.inv
         gens = [c for c in dict.fromkeys(int(c) for c in seed) if c != self.identity]
-        members = set(self.closure_codes(gens))
+        members = self.closure_codes(gens)
+        inside = np.zeros(self.size, dtype=bool)
+        inside[np.asarray(members)] = True
         frontier = list(gens)
         while frontier:
             new = []
             for x in frontier:
                 for z in self.gen_codes:
                     y = int(mul[mul[inv[z], x], z])
-                    if y not in members:
+                    if not inside[y]:
                         gens.append(y)
-                        members = set(self.closure_codes(gens))
+                        members = self.closure_codes([y], subgroup=members)
+                        inside[np.asarray(members)] = True
                         new.append(y)
             frontier = new
         return gens
@@ -1258,8 +1305,11 @@ class SubgroupCloser:
     Subgroups appear as small integer ids; `extend(id, code)` returns the id
     of the subgroup generated by the old one and one more element, and
     `extend_pairs` does the same for arrays of (id, code) pairs, one
-    `extend` per distinct pair.  A computed closure <H, c> is stored for
-    every c' in the double coset HcH, since <H, h c h'> = <H, c>, so one
+    `extend` per distinct pair.  Both `extend` and `can_reach_full` grow
+    their closure from the subgroup H they extend, by left cosets of H
+    (`GroupTable.closure_codes` with `subgroup`), rather than closing H's
+    elements again from the identity.  A computed closure <H, c> is stored
+    for every c' in the double coset HcH, since <H, h c h'> = <H, c>, so one
     closure serves up to |H|^2 codes.  The number of distinct subgroups of
     the desk-scale groups involved is tiny, so the memo tables stay small
     while enumeration asks for millions of extensions.
@@ -1292,8 +1342,7 @@ class SubgroupCloser:
         if int(code) in base:
             self._extend_memo[key] = sid
             return sid
-        gens = list(base) + [int(code)]
-        closed = self.table.closure_codes(gens)
+        closed = self.table.closure_codes([int(code)], subgroup=self._codes[sid])
         new_id = self._ids.get(closed)
         if new_id is None:
             new_id = len(self._sets)
@@ -1320,14 +1369,10 @@ class SubgroupCloser:
         hit = self._reach_memo.get(key)
         if hit is not None:
             return hit
-        gens = list(self._sets[sid])
-        class_id = self.table.class_id
-        for cid in set(remaining_class_ids):
-            gens.extend(
-                int(c)
-                for c in np.nonzero(class_id == cid)[0]
-            )
-        closed = self.table.closure_codes(gens)
+        class_codes = self.table.class_codes
+        gens = [class_codes[cid] for cid in sorted(set(remaining_class_ids))]
+        gens = np.concatenate(gens) if gens else ()
+        closed = self.table.closure_codes(gens, subgroup=self._codes[sid])
         result = len(closed) == self.full_order
         self._reach_memo[key] = result
         return result

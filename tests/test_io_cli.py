@@ -241,6 +241,17 @@ def test_cli_cycle_type_must_be_a_list_of_positive_ints(cycle_type, tmp_path):
     assert "(at /classes/1)" in report["error"]
 
 
+@pytest.mark.parametrize("nu", [[True], [2, False]])
+def test_cli_nu_rejects_bools(nu, tmp_path):
+    # JSON true is a Python int; it must not be read as nu = 1
+    param = tmp_path / "p.json"
+    classes = ["(1 2 3)", "(1 2 3 4 5)"][: len(nu)]
+    param.write_text(json.dumps({"group": "A5", "classes": classes, "nu": nu}))
+    code, report = run_cli(["fiber", str(param)], tmp_path)
+    assert code == 2
+    assert "(at /nu)" in report["error"]
+
+
 def test_cli_budget_exit_3(tmp_path):
     code, report = run_cli(
         ["fiber", "a5_c3_n6", "--budget-tuples", "1000"], tmp_path

@@ -569,18 +569,46 @@ def test_orbit_partition_edge_cases():
     assert [o.tolist() for o in orbit_partition(step, [2, 5])] == [[0, 5], [2, 3]]
 
 
-@pytest.mark.parametrize("name", ["s5", "pgl27"])
+def _closure_table(name, request):
+    """The table of a bundled group, or of the reduced 2S5 cover of h25."""
+    if name == "h25_quotient":
+        classes = [class_by_type(request.getfixturevalue("s5"), t) for t in [(2, 1, 1, 1), (5,)]]
+        return hw.reduce_cover(request.getfixturevalue("ext_2s5"), classes).table
+    return request.getfixturevalue(name).table()
+
+
+def _closure_oracle(table, codes):
+    """The orbit of the identity under right multiplication by the codes."""
+    return bfs_orbits_oracle([table.mul[:, g] for g in codes], [table.identity])[0]
+
+
+@pytest.mark.parametrize("name", ["s5", "pgl27", "s6", "h25_quotient"])
 def test_closure_codes_matches_bfs_oracle(name, request):
-    table = request.getfixturevalue(name).table()
+    table = _closure_table(name, request)
     rng = random.Random(3)
     for _ in range(30):
         codes = rng.sample(range(table.size), rng.randint(0, 3))
-        step = [table.mul[:, g] for g in codes]
-        expected = bfs_orbits_oracle(step, [table.identity])[0]
         closed = table.closure_codes(codes)
         assert isinstance(closed, tuple)
-        assert list(closed) == expected
+        assert list(closed) == _closure_oracle(table, codes)
     assert len(table.closure_codes(table.gen_codes)) == table.size
+    for _ in range(12):
+        # a whole subgroup plus one code, as SubgroupCloser.extend asks
+        gens = rng.sample(range(table.size), rng.randint(0, 2))
+        h = table.closure_codes(gens)
+        c = rng.randrange(table.size)
+        expected = _closure_oracle(table, gens + [c])
+        assert list(table.closure_codes([c], subgroup=np.array(h))) == expected
+        assert table.closure_codes([c], subgroup=h) == table.closure_codes(list(h) + [c])
+        # a subgroup plus whole classes, as SubgroupCloser.can_reach_full asks
+        cids = rng.sample(range(len(table.class_codes)), rng.randint(1, 2))
+        classes = np.concatenate([table.class_codes[i] for i in cids])
+        got = table.closure_codes(classes, subgroup=h)
+        assert list(got) == _closure_oracle(table, gens + sorted(set(classes.tolist())))
+        assert got == table.closure_codes(list(h) + classes.tolist())
+    # no codes: the subgroup itself
+    h = table.closure_codes(rng.sample(range(table.size), 2))
+    assert table.closure_codes([], subgroup=h) == h
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +766,39 @@ def test_group_table_matches_oracle_on_random_groups():
         assert_table_matches_oracle(G)
 
 
+def _normal_closure_gen_codes_oracle(table, seed):
+    """The loop normal_closure_gen_codes replaced: a conjugate joins when it
+    lies outside the subgroup generated so far, which is closed again from
+    its generators by the BFS oracle after every join."""
+    mul, inv = table.mul, table.inv
+    gens = [c for c in dict.fromkeys(int(c) for c in seed) if c != table.identity]
+    members = set(_closure_oracle(table, gens))
+    frontier = list(gens)
+    while frontier:
+        new = []
+        for x in frontier:
+            for z in table.gen_codes:
+                y = int(mul[mul[inv[z], x], z])
+                if y not in members:
+                    gens.append(y)
+                    members = set(_closure_oracle(table, gens))
+                    new.append(y)
+        frontier = new
+    return gens
+
+
+@pytest.mark.parametrize("name", ["s5", "pgl27", "s6"])
+def test_normal_closure_gen_codes_match_loop_oracle(name, request):
+    # the same generators in the same order, so every caller sees the same list
+    table = request.getfixturevalue(name).table()
+    for codes in table.class_codes:
+        seed = [int(codes[0])]
+        assert table.normal_closure_gen_codes(seed) == _normal_closure_gen_codes_oracle(table, seed)
+    g = np.asarray(table.gen_codes, dtype=np.int64)
+    comms = np.unique(table.commutator(g[:, None], g)).tolist()
+    assert table.derived_gen_codes() == _normal_closure_gen_codes_oracle(table, comms)
+
+
 def test_normal_closures_on_codes_match_chain_route():
     rng = random.Random(31)
     for G in random_groups():
@@ -830,6 +891,26 @@ def test_group_table_images_beyond_code_dtype():
 # SubgroupCloser
 
 
+@pytest.mark.parametrize("name", ["s5", "pgl27", "h25_quotient"])
+def test_can_reach_full_matches_bfs_oracle(name, request):
+    table = _closure_table(name, request)
+    rng = random.Random(29)
+    ncls = len(table.class_codes)
+    answers = set()
+    for _ in range(40):
+        closer = SubgroupCloser(table)
+        gens = rng.sample(range(table.size), rng.randint(0, 2))
+        sid = closer.trivial_id
+        for g in gens:
+            sid = closer.extend(sid, g)
+        remaining = tuple(rng.choice(range(ncls)) for _ in range(rng.randint(0, 3)))
+        codes = [int(c) for cid in set(remaining) for c in table.class_codes[cid]]
+        expected = len(_closure_oracle(table, gens + codes)) == table.size
+        assert closer.can_reach_full(sid, remaining) == expected
+        answers.add(expected)
+    assert answers == {False, True}
+
+
 @pytest.mark.parametrize("name", ["s5", "pgl27"])
 def test_subgroup_closer_double_coset_memo(name, request, monkeypatch):
     # one closure <H, c> answers extend(H, c') for every c' in HcH
@@ -838,7 +919,9 @@ def test_subgroup_closer_double_coset_memo(name, request, monkeypatch):
     calls = []
     closure_codes = hw.GroupTable.closure_codes
     monkeypatch.setattr(
-        hw.GroupTable, "closure_codes", lambda self, codes: calls.append(1) or closure_codes(self, codes)
+        hw.GroupTable,
+        "closure_codes",
+        lambda self, *args, **kwargs: calls.append(1) or closure_codes(self, *args, **kwargs),
     )
     rng = random.Random(17)
     checked = 0
