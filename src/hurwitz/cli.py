@@ -286,8 +286,8 @@ def cmd_goursat(args):
     report = _base_report(args, [path])
     h, tuples = _enumerate(pinput, args, report)
     fiber = build_fiber(h, "aut", tuples=tuples)
-    pts = fiber.points()
-    n = len(pts)
+    rows = fiber.rows
+    n = len(rows)
     true_distinct = 0
     false_distinct = 0
     true_diag = 0
@@ -295,7 +295,7 @@ def cmd_goursat(args):
     check = row_span_checker(h, 2)
     for i in range(n):
         for j in range(n):
-            ok = check([pts[i], pts[j]])
+            ok = check.check_codes(rows[[i, j]])
             if i == j:
                 true_diag += ok
                 false_diag += not ok

@@ -10,20 +10,37 @@ the rows lie in the fiber power; for a pseudosimple base group whose
 class-preserving automorphisms all fix the classes, the rows generate the
 whole fiber power exactly when the k points are pairwise distinct.  That
 equivalence is the Goursat-style distinctness criterion this module
-implements as an exact subgroup-order test.
+implements as an exact test.
+
+For k = 2 the test is one homomorphism closure.  Let H be the span of the
+rows (t_j, t'_j).  When t and t' both generate G, both projections of H
+are onto G, so N, the intersection of H with 1 x G, is normal in G; G' is
+the unique minimal normal subgroup of a pseudosimple G, so N is trivial or
+contains G'.  If N is trivial, H is the graph of an automorphism carrying
+t to t', and `structure._hom_closure` finds it.  Otherwise |H| >= |G| *
+|G'|, which is the whole fiber square.  So the span is full exactly when
+the closure finds no homomorphism.  The closure also finds none when t
+fails to generate G, so each tuple is first confirmed to generate G (one
+subgroup closure per distinct tuple, cached by the checker); a tuple that
+does not generate G goes to the chain.  For k >= 3 the argument reaches
+only pairs of coordinates, and when G' = T^w with w > 1 a span that is
+full on every pair need not be full, so the test compares the order of the
+rows' stabilizer chain with the fiber power's.
 
 `row_span_checker(h, k)` checks the group-level preconditions and builds
-the fiber power once, and returns a test of k tuples that only embeds the
-rows and compares one subgroup order; sweeping many tuple sets of one
-parameter (as `hurwitz goursat` does over all pairs of fiber points) goes
-through one checker.  `row_span_check(h, tuples)` is the single-shot form.
+the fiber power once, and returns a checker of k tuples; sweeping many
+tuple sets of one parameter (as `hurwitz goursat` does over all pairs of
+fiber points, by their code rows) goes through one checker.
+`row_span_check(h, tuples)` is the single-shot form.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import InputError, UnsupportedConfigurationError
 from .perms import PermGroup, Permutation
-from .structure import is_ambiguous, is_pseudosimple
+from .structure import _hom_closure, is_ambiguous, is_pseudosimple
 
 
 class FiberPowerGroup:
@@ -119,37 +136,70 @@ def _classes_safe_for_row_span(h):
             )
 
 
-def row_span_checker(h, k):
-    """A test of whether the rows of k tuples generate the full fiber power.
+class RowSpanChecker:
+    """Whether the rows of k tuples generate the full fiber power.
 
-    The returned function takes a list of k Nielsen tuples (lifted fiber
-    representatives) and returns a bool.  Preconditions, checked here once:
-    the group is pseudosimple, and either all classes are unambiguous or
-    every automorphism over the abelianization fixes each class (otherwise
-    UnsupportedConfigurationError).
+    Calling the checker on a list of k Nielsen tuples (lifted fiber
+    representatives) returns a bool; `check_codes` takes the tuples as a
+    (k, n) array of element codes of the group's table.  Preconditions,
+    checked once when the checker is built: the group is pseudosimple, and
+    either all classes are unambiguous or every automorphism over the
+    abelianization fixes each class (otherwise
+    UnsupportedConfigurationError).  Every row must lie in one coset of G'
+    (otherwise InputError).  For k = 2 the verdict is one homomorphism
+    closure when both tuples generate G, and otherwise, as for every other
+    k, the order of the rows' stabilizer chain (see the module docstring).
     """
-    if k < 1:
-        raise InputError("at least one tuple is required")
-    verdict = is_pseudosimple(h.group)
-    if not verdict.pseudosimple:
-        raise UnsupportedConfigurationError(
-            f"group not pseudosimple: {verdict.reason}"
-        )
-    _classes_safe_for_row_span(h)
-    power = FiberPowerGroup(h.group, k)
-    n = h.n
 
-    def check(tuples):
-        if len(tuples) != k:
-            raise InputError(f"expected {k} tuples, got {len(tuples)}")
+    def __init__(self, h, k):
+        if k < 1:
+            raise InputError("at least one tuple is required")
+        verdict = is_pseudosimple(h.group)
+        if not verdict.pseudosimple:
+            raise UnsupportedConfigurationError(
+                f"group not pseudosimple: {verdict.reason}"
+            )
+        _classes_safe_for_row_span(h)
+        self.power = FiberPowerGroup(h.group, k)
+        self.table = h.group.table()
+        self.labels = h.group.abelianization().labels
+        self.k = k
+        self.n = h.n
+        self._generates = {}
+
+    def __call__(self, tuples):
+        if len(tuples) != self.k:
+            raise InputError(f"expected {self.k} tuples, got {len(tuples)}")
         for t in tuples:
-            if len(t) != n:
+            if len(t) != self.n:
                 raise InputError("tuple length does not match the parameter")
-        rows = [power.embed_tuple([t[j] for t in tuples]) for j in range(n)]
-        spanned = PermGroup(power.realized.degree, rows)
-        return spanned.order() == power.order
+        return self.check_codes([[self.table.code(g) for g in t] for t in tuples])
 
-    return check
+    def check_codes(self, codes):
+        codes = np.asarray(codes, dtype=np.int64)
+        if codes.shape != (self.k, self.n):
+            raise InputError(f"expected {self.k} tuples of length {self.n}")
+        labels = self.labels[codes]
+        if (labels != labels[0]).any():
+            raise InputError("coordinates differ in the abelianization")
+        if self.k == 2 and all(self._generates_group(t) for t in codes):
+            return _hom_closure(self.table, self.table, codes[0], codes[1]) is None
+        power = self.power
+        elements = self.table.elements
+        rows = [power.embed_tuple([elements[c] for c in row]) for row in codes.T.tolist()]
+        return PermGroup(power.realized.degree, rows).order() == power.order
+
+    def _generates_group(self, codes):
+        key = codes.tobytes()
+        hit = self._generates.get(key)
+        if hit is None:
+            hit = self._generates[key] = len(self.table.closure_codes(codes)) == self.table.size
+        return hit
+
+
+def row_span_checker(h, k):
+    """The `RowSpanChecker` of k tuples of the parameter h."""
+    return RowSpanChecker(h, k)
 
 
 def row_span_check(h, tuples):

@@ -30,15 +30,15 @@ already known (`GroupTable.closure_codes`).  The chain-backed
 `PermGroup.center`, `derived_subgroup`, `normal_closure` and `is_perfect`
 are the route for groups without a table, such as fiber powers and
 monodromy groups.  A table is built in one of two ways:
-`PermGroup.table()` materializes the group's elements (capped) and codes
-them by their place in the sorted element list, and
-`GroupTable.from_arrays` takes the tables of a quotient whose codes are
-already fixed (a reduced cover), whose elements are the permutations of
-its codes by right multiplication.  A table holds |G|^2 codes, which is
-the right trade-off for the group sizes this package targets (|G| <= a few
-thousand).  Tables, classes, abelianizations and automorphism groups hold
-no reference back to a group object, so reference counting frees them with
-the last reference to their group.  Sorted arrays of code rows (Nielsen
+`PermGroup.table()` forms the group's elements (capped) as the products of
+one transversal element per chain level and codes them by their place in
+lexicographic order, and `GroupTable.from_arrays` takes the tables of a
+quotient whose codes are already fixed (a reduced cover), whose elements
+are the permutations of its codes by right multiplication.  A table holds
+|G|^2 codes, which is the right trade-off for the group sizes this package
+targets (|G| <= a few thousand).  Tables, classes, abelianizations and
+automorphism groups hold no reference back to a group object, so reference
+counting frees them with the last reference to their group.  Sorted arrays of code rows (Nielsen
 tuples, automorphisms by their generator images) are searched through
 `RowIndex`, which ranks their prefixes one column at a time.
 """
@@ -466,6 +466,24 @@ class StabilizerChain:
             return []
         return [tuple(t[: self.degree]) for t in self.levels[from_level].acting]
 
+    def element_images(self, dtype):
+        """The images of every element of the group, one row each, sorted
+        into lexicographic row order.
+
+        Every element of G^(i) is h * u for exactly one h in G^(i+1) and
+        one element u of level i's transversal (u carries the base point
+        to the image the element gives it), so the elements are the
+        products of one transversal element per level.  They are formed
+        level by level, deepest first, each level as one gather
+        u[h[x]] over all (u, h).
+        """
+        images = np.arange(self.degree, dtype=dtype)[None, :]
+        for level in reversed(self.levels):
+            u = np.array([tuple(t) for t in level.transversal.values()], dtype=dtype)
+            images = u[:, images].reshape(-1, self.degree)
+        # lexsort's primary key is its last
+        return images[np.lexsort(images.T[::-1])] if len(images) > 1 else images
+
 
 class ConjugacyClass:
     """A conjugacy class: its sorted codes in a group's table and its elements."""
@@ -828,6 +846,11 @@ class RowIndex:
         return rank
 
 
+def _check_element_cap(order, cap):
+    if order > cap:
+        raise BudgetError(f"group order {order} exceeds element cap {cap}", consumed=order, budget=cap)
+
+
 def conjugation_maps(mul, inv, codes):
     """Row j maps x -> g^-1 x g for g = codes[j], over a dense multiplication table."""
     codes = np.asarray(codes, dtype=np.int64)
@@ -837,8 +860,9 @@ def conjugation_maps(mul, inv, codes):
 class PermGroup:
     """A finite permutation group given by generators.
 
-    The stabilizer chain, element list, conjugacy classes and lookup tables
-    are built lazily, each exactly once, and are read-only afterwards.
+    The stabilizer chain, code table, conjugacy classes and abelianization
+    are built lazily, each exactly once, and are read-only afterwards; the
+    element list is the table's.
     """
 
     def __init__(self, degree, generators, name=None):
@@ -859,7 +883,6 @@ class PermGroup:
         self.generators = tuple(gens)
         self.name = name
         self._chain = None
-        self._elements = None
         self._derived = None
         self._center = None
         self._abelianization = None
@@ -932,33 +955,12 @@ class PermGroup:
     # -- exhaustive queries ---------------------------------------------------
 
     def elements(self, cap=None):
-        """All elements, sorted lexicographically; capped materialization."""
-        if self._elements is None:
-            cap = DEFAULT_ELEMENT_CAP if cap is None else cap
-            order = self.order()
-            if order > cap:
-                raise BudgetError(
-                    f"group order {order} exceeds element cap {cap}",
-                    consumed=order,
-                    budget=cap,
-                )
-            ident = Permutation.identity(self.degree)
-            seen = {ident.images}
-            frontier = [ident]
-            out = [ident]
-            while frontier:
-                new = []
-                for x in frontier:
-                    for g in self.generators:
-                        y = x * g
-                        if y.images not in seen:
-                            seen.add(y.images)
-                            new.append(y)
-                            out.append(y)
-                frontier = new
-            out.sort()
-            self._elements = tuple(out)
-        return self._elements
+        """All elements, sorted lexicographically: the elements of the
+        group's table.  Before the table is built, a group of more than
+        `cap` elements (default `DEFAULT_ELEMENT_CAP`) raises BudgetError."""
+        if self._table is None:
+            _check_element_cap(self.order(), DEFAULT_ELEMENT_CAP if cap is None else cap)
+        return self.table().elements
 
     def conjugacy_classes(self):
         """Conjugacy classes, sorted by (element order, size, least rep)."""
@@ -1089,36 +1091,41 @@ class GroupTable:
     table holds no reference to a group object.  It is built in one of two
     ways:
 
-    * `GroupTable(group)` materializes a permutation group.  Codes follow
-      the sorted element list, so the least code is the lexicographically
-      least element.  A product or inverse is coded by its images of the
-      chain base B: the images of a*b at B are arr[b, arr[a, B]], and
-      `_BaseIndex` turns them into a code by len(B) integer gathers.  `mul`
-      is built in row chunks of about `_TABLE_CHUNK` products, so the build
-      costs O(|G|^2 * |B|) gathers and about 2 MiB beyond the table itself.
-      A product missing from the element list raises InternalCheckError.
+    * `GroupTable(group)` takes the image array of a permutation group's
+      elements from its stabilizer chain
+      (`StabilizerChain.element_images`), in lexicographic row order, so
+      the least code is the lexicographically least element.  A group of
+      more than `DEFAULT_ELEMENT_CAP` elements raises BudgetError first.
+      A product or inverse is coded by its images of the chain base B: the
+      images of a*b at B are arr[b, arr[a, B]], and `_BaseIndex` turns
+      them into a code by len(B) integer gathers, as it does for the
+      identity and the generators.  `mul` is built in row chunks of about
+      `_TABLE_CHUNK` products, so the build costs O(|G|^2 * |B|) gathers
+      and about 2 MiB beyond the table itself.  A product missing from the
+      element array raises InternalCheckError.
     * `GroupTable.from_arrays(mul, inv, identity, gen_codes)` takes the
       tables of a group whose codes are already fixed, such as a quotient
       of a cover by a central subgroup.  Its element c is the permutation
-      mul[:, c] of the codes (right multiplication by c), and `elements`
-      and `code_of` are built only when asked for.
+      mul[:, c] of the codes (right multiplication by c).
 
-    Either way `order_of` comes from powering every element at once through
+    Either way `elements` and `code_of` are built from `images` only when
+    asked for.
+
+    `order_of` comes from powering every element at once through
     `mul`, and the conjugacy classes are the orbits of conjugation by the
     generators, sorted by (element order, size, least code) into
     `class_codes`.
     """
 
     def __init__(self, group):
-        elems = group.elements()
-        self.elements = elems
-        self.code_of = {g.images: i for i, g in enumerate(elems)}
-        size = len(elems)
-        dtype = np.uint16 if size < 65535 else np.uint32
+        chain = group.chain()
+        _check_element_cap(chain.order(), DEFAULT_ELEMENT_CAP)
         # images run up to degree - 1, which the code dtype need not hold
         image_dtype = np.uint16 if group.degree <= 65536 else np.uint32
-        arr = np.ascontiguousarray(np.array([g.images for g in elems], dtype=image_dtype))
-        base = group.chain().base()
+        arr = chain.element_images(image_dtype)
+        size = len(arr)
+        dtype = np.uint16 if size < 65535 else np.uint32
+        base = chain.base()
         index = _BaseIndex(arr, base, group.degree)
         mul = np.empty((size, size), dtype=dtype)
         rows = max(1, _TABLE_CHUNK // size)
@@ -1127,13 +1134,10 @@ class GroupTable:
             block = arr[:, arr[a0:a0 + rows][:, base]]
             mul[a0:a0 + rows] = index.codes(block).T
         inv = index.codes(np.argsort(arr, axis=1)[:, base]).astype(dtype)
-        self._set_tables(
-            arr,
-            mul,
-            inv,
-            self.code_of[tuple(range(group.degree))],
-            [self.code_of[g.images] for g in group.generators],
-        )
+        # the identity's row, then the generators'
+        known = np.array([range(group.degree)] + [g.images for g in group.generators], dtype=image_dtype)
+        codes = index.codes(known[:, base]).tolist()
+        self._set_tables(arr, mul, inv, codes[0], codes[1:])
 
     @classmethod
     def from_arrays(cls, mul, inv, identity, gen_codes):

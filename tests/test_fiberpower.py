@@ -7,6 +7,7 @@ import pytest
 import hurwitz as hw
 from hurwitz import FiberPowerGroup, PermGroup, Permutation, row_span_check, row_span_checker
 from hurwitz import cli, covers, fiberpower, structure
+from hurwitz import perms as perms_module
 
 from conftest import class_by_type
 
@@ -43,6 +44,89 @@ def test_embed_tuple_checks_abelianization(s5):
     el = fp.embed_tuple([odd, odd])
     assert fp.coordinate_projection(el, 0) == odd
     assert fp.coordinate_projection(el, 1) == odd
+
+
+def _row_span_chain_oracle(h, tuples):
+    """The check every k used before pairs went through one homomorphism
+    closure: embed the rows in the fiber power and compare the order of
+    their stabilizer chain with the fiber power's."""
+    power = FiberPowerGroup(h.group, len(tuples))
+    rows = [power.embed_tuple([t[j] for t in tuples]) for j in range(h.n)]
+    return PermGroup(power.realized.degree, rows).order() == power.order
+
+
+def _assert_pairs_match_chain_oracle(h, pts):
+    check = row_span_checker(h, 2)
+    for i, t in enumerate(pts):
+        for j, u in enumerate(pts):
+            # distinct points span the fiber square and a repeated one does not
+            assert check([t, u]) == _row_span_chain_oracle(h, [t, u]) == (i != j), (i, j)
+
+
+def test_row_span_pairs_match_chain_oracle_h25(h25, h25_data):
+    _assert_pairs_match_chain_oracle(h25, h25_data["fiber_aut"].points())
+
+
+def test_row_span_pairs_match_chain_oracle_a5_c3_n4(a5_n4):
+    h = a5_n4["h"]
+    pts = hw.build_fiber(h, "aut", tuples=a5_n4["tuples"]).points()
+    assert len(pts) == 9
+    _assert_pairs_match_chain_oracle(h, pts)
+
+
+def test_row_span_pairs_match_chain_oracle_s5_221(contrasting_pair):
+    case = contrasting_pair["221"]
+    _assert_pairs_match_chain_oracle(case["h"], case["fiber"].points()[:40])
+
+
+def test_row_span_triples_keep_the_chain(h25, h25_data, monkeypatch):
+    pts = h25_data["fiber_aut"].points()
+    closures = []
+    monkeypatch.setattr(fiberpower, "_hom_closure", lambda *a: closures.append(a))
+    check = row_span_checker(h25, 3)
+    for i, j, l in ((0, 1, 2), (0, 0, 1), (3, 17, 3), (5, 5, 5), (24, 9, 13)):
+        tuples = [pts[i], pts[j], pts[l]]
+        assert check(tuples) == _row_span_chain_oracle(h25, tuples) == (len({i, j, l}) == 3)
+    assert closures == []
+
+
+def test_row_span_pair_with_a_tuple_not_generating_the_group(h25, h25_data):
+    # u generates S3 only, so the homomorphism closure finds no map from or
+    # to it, which must not read as a full span
+    pts = h25_data["fiber_aut"].points()
+    u = hw.NielsenTuple(
+        [Permutation.from_cycles(c, 5) for c in ["(1 2)"] * 4 + ["(1 2 3)"]]
+    )
+    check = row_span_checker(h25, 2)
+    for tuples in ([pts[0], u], [u, pts[0]]):
+        assert _row_span_chain_oracle(h25, tuples) is False
+        assert check(tuples) is False
+        assert row_span_check(h25, tuples) is False
+
+
+def test_row_span_check_codes_matches_tuples(h25, h25_data):
+    fiber = h25_data["fiber_aut"]
+    pts = fiber.points()
+    check = row_span_checker(h25, 2)
+    for i, j in ((0, 1), (4, 4), (24, 3)):
+        assert check.check_codes(fiber.rows[[i, j]]) == check([pts[i], pts[j]])
+    with pytest.raises(hw.InputError, match="expected 2 tuples"):
+        check.check_codes(fiber.rows[:3])
+
+
+def test_goursat_builds_chains_independent_of_fiber_size(monkeypatch, tmp_path):
+    # one chain per pair would make 625 of them on the 25-point fiber of h25
+    built = []
+    real = perms_module.StabilizerChain
+
+    def counting(*args, **kwargs):
+        built.append(args[1])  # the degree
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(perms_module, "StabilizerChain", counting)
+    assert cli.main(["goursat", "h25", "--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+    # S5's chain, for its table, and the fiber square's, for its order
+    assert sorted(built) == [5, 10]
 
 
 def test_row_span_examples(h25, h25_data):

@@ -616,9 +616,30 @@ def test_closure_codes_matches_bfs_oracle(name, request):
 # loops they replaced
 
 
+def _elements_bfs_oracle(group):
+    """The element list `PermGroup.elements` built before tables came from
+    chain products: a BFS over Permutation products by the generators,
+    sorted."""
+    ident = Permutation.identity(group.degree)
+    seen = {ident.images}
+    frontier = [ident]
+    out = [ident]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in group.generators:
+                y = x * g
+                if y.images not in seen:
+                    seen.add(y.images)
+                    new.append(y)
+                    out.append(y)
+        frontier = new
+    return tuple(sorted(out))
+
+
 def _classes_oracle(group):
     """Classes by a BFS of Permutation conjugations, sorted like the table's."""
-    elems = group.elements()
+    elems = _elements_bfs_oracle(group)
     index = {g.images: i for i, g in enumerate(elems)}
     assigned = [False] * len(elems)
     classes = []
@@ -690,8 +711,10 @@ def assert_classes_match_oracle(group):
 
 
 def _table_oracle(group):
-    """mul, inv, order_of, class_id and identity by dict lookups of image bytes."""
-    elems = group.elements()
+    """images, mul, inv, order_of, class_id, class codes, identity and
+    generator codes over the BFS element list, by dict lookups of image
+    bytes."""
+    elems = _elements_bfs_oracle(group)
     size = len(elems)
     code_of = {g.images: i for i, g in enumerate(elems)}
     dtype = np.uint16 if size < 65535 else np.uint32
@@ -705,7 +728,9 @@ def _table_oracle(group):
     inv = np.array([code_of[g.inverse().images] for g in elems], dtype=dtype)
     order_of = np.array([g.order() for g in elems], dtype=np.int64)
     class_id = np.empty(size, dtype=np.int32)
+    class_codes = []
     for ci, c in enumerate(_classes_oracle(group)):
+        class_codes.append(sorted(code_of[g.images] for g in c))
         for g in c:
             class_id[code_of[g.images]] = ci
     inner_maps = np.empty((size, size), dtype=dtype)
@@ -713,12 +738,16 @@ def _table_oracle(group):
         # row z column x: (z^-1 * x) * z
         inner_maps[z] = mul[mul[int(inv[z])], z]
     return {
+        "images": np.array([g.images for g in elems], dtype=np.uint16).reshape(size, group.degree),
         "mul": mul,
         "inv": inv,
         "order_of": order_of,
         "class_id": class_id,
         "inner_maps": inner_maps,
         "identity": code_of[tuple(range(group.degree))],
+        "gen_codes": [code_of[g.images] for g in group.generators],
+        "class_codes": class_codes,
+        "elements": elems,
     }
 
 
@@ -726,6 +755,9 @@ def assert_table_matches_oracle(group):
     table = hw.GroupTable(group)
     expected = _table_oracle(group)
     assert table.identity == expected.pop("identity") == 0
+    assert table.gen_codes == expected.pop("gen_codes")
+    assert [c.tolist() for c in table.class_codes] == expected.pop("class_codes")
+    assert table.elements == expected.pop("elements")
     assert np.array_equal(table.inner_maps(), expected.pop("inner_maps"))
     assert table.inner_maps().dtype == table.mul.dtype
     for name, want in expected.items():
@@ -860,12 +892,32 @@ def test_reduced_cover_table_matches_permutation_oracles(name, base, cycle_types
     assert len(set(table.class_id.tolist())) == len(orbits)
 
 
-def test_group_table_missing_element_is_internal_error():
+def test_group_table_missing_element_is_internal_error(monkeypatch):
     G = PermGroup.symmetric(4)
-    elems = G.elements()
-    G._elements = tuple(g for g in elems if g != elems[5])
+    real = StabilizerChain.element_images
+    monkeypatch.setattr(
+        StabilizerChain, "element_images", lambda self, dtype: np.delete(real(self, dtype), 5, axis=0)
+    )
     with pytest.raises(hw.InternalCheckError):
         hw.GroupTable(G)
+
+
+def test_element_cap_raises_before_anything_is_built():
+    big = PermGroup.symmetric(10)
+    with pytest.raises(hw.BudgetError) as capped:
+        big.elements(cap=1000)
+    assert (capped.value.consumed, capped.value.budget) == (3628800, 1000)
+    assert big._table is None
+    with pytest.raises(hw.BudgetError) as default:
+        big.table()
+    assert (default.value.consumed, default.value.budget) == (3628800, perms_module.DEFAULT_ELEMENT_CAP)
+    small = PermGroup.symmetric(4)
+    with pytest.raises(hw.BudgetError) as tight:
+        small.elements(cap=23)
+    assert (tight.value.consumed, tight.value.budget) == (24, 23)
+    assert small.elements(cap=24) == _elements_bfs_oracle(small)
+    # the cap limits materialization, so elements already built are returned
+    assert small.elements(cap=1) is small.table().elements
 
 
 def test_cli_import_does_not_load_scipy():
