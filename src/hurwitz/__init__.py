@@ -26,7 +26,6 @@ from .perms import (
     StabilizerChain,
     format_cycles,
     orbit_labels,
-    orbit_partition,
     parse_cycles,
 )
 from .structure import (

@@ -147,12 +147,8 @@ def _fibers(h, tuples, args):
         yield mode, fiber
 
 
-def _orbit_payload(h, fiber, ext, args):
-    lift = None
-    if ext is not None:
-        reduced = reduce_cover(ext, h.classes)
-        lift = LiftData(reduced, h)
-    words, arrays = fiber_generator_arrays(fiber)
+def _orbit_payload(fiber, lift):
+    arrays = fiber_generator_arrays(fiber)[1]
     labels_note = None
     try:
         orbits = braid_orbits(fiber, arrays, lift_data=lift)
@@ -170,7 +166,7 @@ def _orbit_payload(h, fiber, ext, args):
         payload["orbit_labels"] = list(orbits.labels)
     if labels_note:
         payload["note"] = labels_note
-    return orbits, words, arrays, payload, lift
+    return payload
 
 
 def cmd_orbits(args):
@@ -179,10 +175,10 @@ def cmd_orbits(args):
     pinput, ext = parse_inputs(path, cover_path)
     report = _base_report(args, [p for p in (path, cover_path) if p])
     h, tuples = _enumerate(pinput, args, report)
+    lift = None if ext is None else LiftData(reduce_cover(ext, h.classes), h)
     result = {}
     for mode, fiber in _fibers(h, tuples, args):
-        _, _, _, payload, _ = _orbit_payload(h, fiber, ext, args)
-        result[mode] = payload
+        result[mode] = _orbit_payload(fiber, lift)
     report["result"] = result
     return report
 

@@ -34,7 +34,7 @@ from .errors import (
     InternalCheckError,
     UnsupportedConfigurationError,
 )
-from .perms import GroupTable, PermGroup, Permutation, orbit_partition
+from .perms import GroupTable, PermGroup, Permutation, label_orbits, orbit_labels
 from .structure import _hom_closure, is_ambiguous, is_pseudosimple
 
 
@@ -545,7 +545,7 @@ def out_action_on_labels(ext_reduced, h, aut, fiber, labels=None):
             raise InternalCheckError("inner automorphism moved a lifting label")
         maps.append(label_map)
     step = np.array(maps, dtype=np.int64).reshape(len(maps), len(lift.kernel_sorted))
-    orbits = orbit_partition(step, realized)
+    orbits = label_orbits(orbit_labels(step), realized)
     fixed = (step[:, realized] == realized).sum(axis=0)
     return LabelOrbitReport(
         realized=tuple(realized.tolist()),

@@ -42,8 +42,8 @@ from .perms import (
     RowIndex,
     SubgroupCloser,
     label_orbits,
+    label_reps,
     orbit_labels,
-    orbit_partition,
     sorted_rows,
 )
 
@@ -73,8 +73,7 @@ class OrbitPartition:
 def _orbits_and_ids(arrays, n):
     """Orbits of index arrays on range(n), by least point, and each point's orbit id."""
     labels = orbit_labels(np.reshape(arrays, (len(arrays), n)))
-    orbit_id = np.searchsorted(np.flatnonzero(labels == np.arange(n)), labels)
-    return label_orbits(labels), orbit_id
+    return label_orbits(labels), label_reps(labels)[1]
 
 
 def braid_orbits(fiber, gen_arrays, lift_data=None):
@@ -171,12 +170,16 @@ def fiber_generator_arrays(fiber, words=None):
 
 
 def _restriction_perms(arrays, points):
-    """Generator permutations restricted to an orbit, relabeled 0..k-1."""
-    pos = {p: i for i, p in enumerate(points)}
-    out = []
-    for arr in arrays:
-        out.append(Permutation(pos[int(arr[p])] for p in points))
-    return out
+    """Generator permutations restricted to an orbit, relabeled 0..k-1.
+
+    `points` is the orbit's members in increasing order, so a member's
+    place among them is its binary search position.  Each array is
+    gathered at the members only, not copied whole, since a fiber has as
+    many orbits to restrict to as it likes.
+    """
+    points = np.asarray(points)
+    images = np.searchsorted(points, [np.asarray(arr)[points] for arr in arrays])
+    return [Permutation(row) for row in images.tolist()]
 
 
 def _block_system(perms, size):
@@ -243,9 +246,10 @@ def _primes_upto(n):
 
 
 def _is_transitive(perms, size):
-    """Whether the generators reach every point from point 0."""
+    """Whether the generators reach every point from point 0: every
+    point's orbit label is 0."""
     step = np.array([g.images for g in perms], dtype=np.int64).reshape(len(perms), size)
-    return len(orbit_partition(step, [0])[0]) == size
+    return not orbit_labels(step).any()
 
 
 def fullness_by_jordan_witness(perms, size, primitive=None):

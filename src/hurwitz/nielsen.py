@@ -49,8 +49,8 @@ from .perms import (
     RowIndex,
     SubgroupCloser,
     conjugation_maps,
+    label_reps,
     orbit_labels,
-    row_keys,
     sorted_rows,
 )
 
@@ -508,14 +508,13 @@ def enumerate_tuples(h, budget=None):
 # canonical forms and fibers
 
 
-def canonicalize_codes(codes, maps, m):
+def canonicalize_codes(codes, maps):
     """Lexicographic minimum of each row over the acting relabeling maps.
 
     `maps` is an (A, m) array of element relabelings (inner or full
-    automorphism maps).  Returns (canonical_rows, row_keys(canonical_rows,
-    m)); exact, the keys being the rows' big-endian bytes.  The rows are
-    in the maps' dtype.  This walks every map over every row, so no fiber
-    or braid path uses it: it is the oracle the tests check fibers against.
+    automorphism maps).  Returns the canonical rows, in the maps' dtype.
+    This walks every map over every row, so no fiber or braid path uses it:
+    it is the oracle the tests check fibers against.
     """
     out_rows = np.empty(codes.shape, dtype=maps.dtype)
     for lo in range(0, len(codes), _CANON_CHUNK):
@@ -531,7 +530,7 @@ def canonicalize_codes(codes, maps, m):
                 tied &= x == y
             best[:, less] = mapped[:, less]
         out_rows[lo : lo + _CANON_CHUNK] = best.T
-    return out_rows, row_keys(out_rows, m)
+    return out_rows
 
 
 class Fiber:
@@ -586,10 +585,10 @@ def _mapped_positions(index, rows, maps):
 
 
 def _orbit_points(labels):
-    """The members whose label is their own index (the least of each orbit),
-    and the number of every member's orbit among them, int32."""
-    reps = np.flatnonzero(labels == np.arange(len(labels)))
-    return reps, np.searchsorted(reps, labels).astype(np.int32)
+    """The least member of each orbit and the number of every member's
+    orbit among them, int32."""
+    reps, number = label_reps(labels)
+    return reps, number.astype(np.int32, copy=False)
 
 
 def build_fiber(h, mode="aut", tuples=None, budget=None, inn=None):

@@ -26,10 +26,12 @@ normal closures, the derived subgroup among them, are seed codes closed
 under conjugation by the generators, and the cosets of the derived
 subgroup are orbits of right multiplication by its generators.  A
 subgroup generated by codes grows one left coset at a time from a subgroup
-already known (`GroupTable.closure_codes`).  The chain-backed
-`PermGroup.center`, `derived_subgroup`, `normal_closure` and `is_perfect`
-are the route for groups without a table, such as fiber powers and
-monodromy groups.  A table is built in one of two ways:
+already known (`GroupTable.closure_codes`).  Every orbit, of points,
+codes or tuples, is an `orbit_labels` labelling, read through
+`label_orbits` and `label_reps`.  No package code calls the chain-backed
+`PermGroup.center`, `derived_subgroup`, `normal_closure` and
+`is_perfect`: they are the independent routes the tests check the table
+against.  A table is built in one of two ways:
 `PermGroup.table()` forms the group's elements (capped) as the products of
 one transversal element per chain level and codes them by their place in
 lexicographic order, and `GroupTable.from_arrays` takes the tables of a
@@ -38,9 +40,10 @@ are the permutations of its codes by right multiplication.  A table holds
 |G|^2 codes, which is the right trade-off for the group sizes this package
 targets (|G| <= a few thousand).  Tables, classes, abelianizations and
 automorphism groups hold no reference back to a group object, so reference
-counting frees them with the last reference to their group.  Sorted arrays of code rows (Nielsen
-tuples, automorphisms by their generator images) are searched through
-`RowIndex`, which ranks their prefixes one column at a time.
+counting frees them with the last reference to their group.  Sorted
+arrays of code rows (Nielsen tuples, automorphisms by their generator
+images) are searched through `RowIndex`, which ranks their prefixes one
+column at a time.
 """
 
 from __future__ import annotations
@@ -538,9 +541,7 @@ class AbelianQuotient:
         derived = table.derived_gen_codes()
         # the cosets x G' are the orbits of x -> x d, numbered by least code;
         # the identity's code 0 is the least code, so its coset is numbered 0
-        least = orbit_labels(table.mul[:, derived].T)
-        rep_codes = np.flatnonzero(least == np.arange(table.size))
-        self.labels = np.searchsorted(rep_codes, least)
+        rep_codes, self.labels = label_reps(orbit_labels(table.mul[:, derived].T))
         rep_codes = rep_codes.tolist()
         self.reps = [table.elements[c] for c in rep_codes]
         self.size = len(self.reps)
@@ -671,62 +672,25 @@ def _hook(labels, s):
     labels[s] = np.minimum(labels[s], grand, out=grand)
 
 
-def label_orbits(labels):
+def label_orbits(labels, points=None):
     """The orbits an `orbit_labels` array describes, each a sorted int64
-    array, ordered by least point: one stable argsort."""
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if len(labels) else []
+    array, ordered by least point: one stable argsort.  With `points`, only
+    the orbits through those points, each once and whole."""
+    members = None if points is None else np.flatnonzero(np.isin(labels, labels[points]))
+    order = np.argsort(labels if members is None else labels[members], kind="stable")
+    if members is not None:
+        order = members[order]
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if len(order) else []
 
 
-def orbit_partition(step, points=None):
-    """Orbits of the maps x -> step[j, x] through the listed points.
-
-    `step` is a (k, m) integer array whose rows are permutations of
-    range(m), so that the orbits partition the points; `points` defaults to
-    all m points.  Returns the orbit of every listed point once, each as a
-    sorted int64 array, ordered by least point.  All orbits come from
-    `orbit_labels` and `label_orbits`.  Orbits through listed points come
-    from the orbit algorithm of Holt, Eick and O'Brien (Handbook of
-    Computational Group Theory, 4.1), run level by level: the images of a
-    whole frontier are gathered at once and the unseen ones form the next
-    frontier.
-    """
-    step = np.asarray(step)
-    m = step.shape[1]
-    if points is None:
-        return label_orbits(orbit_labels(step))
-    points = np.unique(points).tolist()
-    if len(step) == 0:
-        return [np.array([p], dtype=np.int64) for p in points]
-    seen = np.zeros(m, dtype=bool)
-    orbits = []
-    for start in points:
-        if seen[start]:
-            continue
-        seen[start] = True
-        frontier = np.array([start], dtype=np.int64)
-        levels = [frontier]
-        while frontier.size:
-            images = step[:, frontier].ravel()
-            frontier = np.unique(images[~seen[images]])
-            seen[frontier] = True
-            levels.append(frontier)
-        orbits.append(np.sort(np.concatenate(levels)))
-    orbits.sort(key=lambda orbit: orbit[0])
-    return orbits
-
-
-def row_keys(rows, m):
-    """Exact sort keys of (N, n) code rows over a group of order m.
-
-    Each row becomes its codes as big-endian unsigned integers (two bytes
-    when m <= 65536, else four), viewed as one fixed-width np.void value.
-    Byte order of the keys is lexicographic row order at any width, so
-    stable argsort, != and searchsorted on them order rows exactly.
-    """
-    dtype = np.dtype(">u2" if m <= 65536 else ">u4")
-    rows = np.ascontiguousarray(rows, dtype=dtype)
-    return rows.view(np.dtype((np.void, rows.shape[1] * dtype.itemsize))).ravel()
+def label_reps(labels):
+    """The least point of every orbit an `orbit_labels` array describes, in
+    increasing order, and the number of every point's orbit among them, in
+    the labels' dtype."""
+    is_rep = labels == np.arange(len(labels), dtype=labels.dtype)
+    number = np.cumsum(is_rep, dtype=labels.dtype)
+    number -= 1
+    return np.flatnonzero(is_rep), number[labels]
 
 
 def sorted_rows(rows):
@@ -734,10 +698,13 @@ def sorted_rows(rows):
     lexicographic row order, in place, and return it.
 
     With its codes big-endian, a row's bytes viewed as one fixed-width
-    np.void value compare as the row does (as in `row_keys`).  So the codes
-    are byte-swapped in place where the machine is little-endian, those
-    values are sorted in place, and the codes are swapped back: the rows
-    are neither copied nor gathered through a permutation.
+    np.void value compare as the row does.  So the codes are byte-swapped
+    in place where the machine is little-endian, those values are sorted in
+    place, and the codes are swapped back: the rows are neither copied nor
+    gathered through a permutation.  Only for narrow rows, such as tuples
+    of a few codes: numpy's sort of wide np.void values can fail (a
+    `MemoryError` on (3, 70000) uint32 rows, 280 kB each), where
+    `np.lexsort(rows.T[::-1])` orders wide rows.
     """
     swap = rows.dtype.newbyteorder(">") != rows.dtype
     if swap:
@@ -1027,12 +994,6 @@ class PermGroup:
             self._abelianization = AbelianQuotient(self)
         return self._abelianization
 
-    def orbits(self):
-        """Orbits on the ambient points, each sorted, ordered by least point."""
-        step = np.array([g.images for g in self.generators], dtype=np.int64)
-        step = step.reshape(len(self.generators), self.degree)
-        return [orbit.tolist() for orbit in orbit_partition(step)]
-
     def table(self):
         if self._table is None:
             self._table = GroupTable(self)
@@ -1154,7 +1115,7 @@ class GroupTable:
         self.identity = int(identity)
         self.gen_codes = [int(c) for c in gen_codes]
         self.order_of = self._orders()
-        orbits = orbit_partition(conjugation_maps(mul, inv, self.gen_codes))
+        orbits = label_orbits(orbit_labels(conjugation_maps(mul, inv, self.gen_codes)))
         orbits.sort(key=lambda orbit: (self.order_of[orbit[0]], len(orbit), orbit[0]))
         self.class_codes = tuple(orbits)
         self.class_id = np.empty(self.size, dtype=np.int32)
@@ -1162,6 +1123,7 @@ class GroupTable:
             self.class_id[orbit] = ci
         self._inner_maps = None
         self._derived_gens = None
+        self._derived_labels = None
 
     @functools.cached_property
     def elements(self):
@@ -1295,9 +1257,11 @@ class GroupTable:
     def derived_orbits(self, codes):
         """Orbits of conjugation by the derived subgroup on a set of codes
         closed under it (a union of classes), as sorted code lists."""
+        if self._derived_labels is None:
+            step = conjugation_maps(self.mul, self.inv, self.derived_gen_codes())
+            self._derived_labels = orbit_labels(step)
         codes = np.unique(np.asarray(codes, dtype=np.int64))
-        step = conjugation_maps(self.mul, self.inv, self.derived_gen_codes())
-        orbits = orbit_partition(step, codes)
+        orbits = label_orbits(self._derived_labels, codes)
         if sum(len(orbit) for orbit in orbits) != len(codes):
             raise InternalCheckError("conjugation left the given code subset")
         return [orbit.tolist() for orbit in orbits]

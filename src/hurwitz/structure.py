@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .perms import PermGroup, RowIndex, conjugation_maps, orbit_partition, row_keys
+from .perms import PermGroup, RowIndex, conjugation_maps, orbit_labels
 
 # codes per block of maps in AutGroup.verify: 64 KiB as int64, so that no
 # block is a large temporary
@@ -440,8 +440,9 @@ def aut_generator_maps(aut):
     far, which it therefore at least doubles: there are at most
     log2 |aut : Inn(G)| of them.  One map per Inn(G)-coset would not do:
     Inn(C2^4) is trivial and Aut(C2^4) = GL(4, 2) has 20,160 elements.
-    Membership is an orbit of the identity over the indices of `aut.maps`,
-    each map located by its generator images in a `RowIndex` of them.
+    Membership is the orbit of the identity in the `orbit_labels` of the
+    chosen maps on the indices of `aut.maps`, each map located by its
+    generator images in a `RowIndex` of them.
     Returns a (k, m) array in the table's dtype.
     """
     table = aut.table
@@ -449,7 +450,7 @@ def aut_generator_maps(aut):
     maps = aut.element_maps()
     # an automorphism is determined by its generator images
     images = maps[:, gens]
-    order = np.argsort(row_keys(images, table.size), kind="stable")
+    order = np.lexsort(images.T[::-1])
     index = RowIndex(images[order], table.size)
 
     def after(g):
@@ -460,9 +461,8 @@ def aut_generator_maps(aut):
     step = [after(g) for g in chosen]
     identity = order[index.positions(gens[None, :])]
     while True:
-        inside = np.zeros(len(maps), dtype=bool)
-        inside[orbit_partition(np.reshape(step, (len(step), len(maps))), identity)[0]] = True
-        outside = np.flatnonzero(~inside)
+        labels = orbit_labels(np.reshape(step, (len(step), len(maps))))
+        outside = np.flatnonzero(labels != labels[identity])
         if not len(outside):
             return np.reshape(chosen, (len(chosen), table.size)).astype(table.mul.dtype)
         chosen.append(maps[outside[0]])

@@ -5,6 +5,7 @@ with wall times recorded for the runtime-budget assertions)."""
 import random
 import time
 
+import numpy as np
 import pytest
 
 import hurwitz as hw
@@ -93,6 +94,19 @@ def random_groups():
         if G.order() <= 2000:
             groups.append(G)
     return groups
+
+
+def row_keys(rows, m):
+    """Exact sort keys of (N, n) code rows over a group of order m.
+
+    Each row becomes its codes as big-endian unsigned integers (two bytes
+    when m <= 65536, else four), viewed as one fixed-width np.void value.
+    Byte order of the keys is lexicographic row order at any width, so
+    stable argsort, != and searchsorted on them order rows exactly.
+    """
+    dtype = np.dtype(">u2" if m <= 65536 else ">u4")
+    rows = np.ascontiguousarray(rows, dtype=dtype)
+    return rows.view(np.dtype((np.void, rows.shape[1] * dtype.itemsize))).ravel()
 
 
 def class_by_type(group, cycle_type):

@@ -16,6 +16,7 @@ from hurwitz.monodromy import (
     OrbitPartition,
     OrbitVerdict,
     _block_system,
+    _is_transitive,
     _quasi_fullness_by_chain,
     _restriction_perms,
     braid_orbits,
@@ -161,6 +162,35 @@ def test_jordan_witness_rejects_intransitive_input():
     assert fullness_by_jordan_witness(gens, 12) is False
     # even when told the action is primitive, transitivity is checked itself
     assert fullness_by_jordan_witness(gens, 12, primitive=True) is False
+
+
+def _restriction_perms_oracle(arrays, points):
+    """Oracle: each array restricted to the points through a dict of their
+    places, one point at a time."""
+    pos = {p: i for i, p in enumerate(points)}
+    return [Permutation(pos[int(arr[p])] for p in points) for arr in arrays]
+
+
+def test_restriction_perms_match_oracle(a5_n5):
+    arrays = a5_n5["arrays"]
+    for members in a5_n5["orbits"].orbit_members:
+        got = _restriction_perms(arrays, members)
+        assert got == _restriction_perms_oracle(arrays, members)
+        assert all(type(x) is int for g in got for x in g.images)
+    # no generators: nothing to restrict
+    assert _restriction_perms([], (0, 1)) == []
+
+
+def test_is_transitive():
+    # S5 x S7 on 5 + 7 points moves every point from two orbits
+    product = [Permutation.from_cycles(c, 12) for c in ("(1 2 3 4 5)", "(6 7 8 9 10 11 12)")]
+    assert not _is_transitive(product, 12)
+    assert _is_transitive(product + [Permutation.from_cycles("(5 6)", 12)], 12)
+    # no generators: transitive on one point only
+    assert _is_transitive([], 1)
+    assert not _is_transitive([], 3)
+    # point 0 fixed by every generator, the rest one orbit
+    assert not _is_transitive([Permutation.from_cycles("(2 3 4)", 4)], 4)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,10 @@ from hurwitz.nielsen import (
     apply_word_codes,
     canonicalize_codes,
     induced_permutation_array,
-    row_keys,
 )
 from hurwitz.perms import SubgroupCloser, conjugation_maps
 
-from conftest import class_by_type
+from conftest import class_by_type, row_keys
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +442,7 @@ def test_inn_action_free_on_tuples(h25_data):
     # every fiber point has exactly |Inn| = 120 preimages
     fiber = h25_data["fiber_inn"]
     tuples = h25_data["tuples"]
-    rows, keys = canonicalize_codes(tuples.codes, _acting_maps(fiber.h, "inn"), fiber.table.size)
+    keys = row_keys(canonicalize_codes(tuples.codes, _acting_maps(fiber.h, "inn")), fiber.table.size)
     counts = {}
     for k in keys:
         counts[bytes(k)] = counts.get(bytes(k), 0) + 1
@@ -517,11 +516,11 @@ def test_canonicalize_codes_matches_brute_force_s6(s6, width):
     table = s6.table()
     maps = table.inner_maps()
     codes = np.random.default_rng(width).integers(0, table.size, size=(60, width))
-    rows, keys = canonicalize_codes(codes, maps, table.size)
+    rows = canonicalize_codes(codes, maps)
     expected = _canonical_rows_oracle(codes, maps)
     assert [tuple(int(c) for c in r) for r in rows] == expected
-    assert keys.tobytes() == row_keys(rows, table.size).tobytes()
-    for k in (keys, row_keys(rows, 1 << 17)):
+    assert rows.dtype == maps.dtype and rows.shape == codes.shape
+    for k in (row_keys(rows, table.size), row_keys(rows, 1 << 17)):
         by_key = rows[np.argsort(k, kind="stable")]
         assert [tuple(int(c) for c in r) for r in by_key] == sorted(expected)
 
@@ -531,14 +530,15 @@ def _canonical_fiber_oracle(tuples, maps, words):
     deduplicating and sorting, and each braid array by canonicalizing the
     moved points; returns (rows, keys, point of every tuple, arrays)."""
     m = tuples.table.size
-    canon, canon_keys = canonicalize_codes(tuples.codes, maps, m)
+    canon = canonicalize_codes(tuples.codes, maps)
+    canon_keys = row_keys(canon, m)
     order = np.argsort(canon_keys, kind="stable")
     first = np.ones(len(order), dtype=bool)
     first[1:] = canon_keys[order][1:] != canon_keys[order][:-1]
     rows, keys = canon[order[first]], canon_keys[order[first]]
     arrays = []
     for w in words:
-        _, moved_keys = canonicalize_codes(apply_word_codes(rows, w.letters, tuples.table), maps, m)
+        moved_keys = row_keys(canonicalize_codes(apply_word_codes(rows, w.letters, tuples.table), maps), m)
         arrays.append(_key_positions(keys, moved_keys))
     return rows, keys, _key_positions(keys, canon_keys), arrays
 

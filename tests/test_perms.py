@@ -18,13 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hurwitz as hw
-from hurwitz import PermGroup, Permutation, StabilizerChain, orbit_labels, orbit_partition
+from hurwitz import PermGroup, Permutation, StabilizerChain, orbit_labels
 from hurwitz import perms as perms_module
 from hurwitz.monodromy import _restriction_perms, braid_orbits, fiber_generator_arrays
-from hurwitz.perms import RowIndex, SubgroupCloser, conjugation_maps, row_keys, sorted_rows
+from hurwitz.perms import RowIndex, SubgroupCloser, conjugation_maps, label_orbits, label_reps, sorted_rows
 
 from _chain_oracle import ChainOracle
-from conftest import class_by_type, cover_group, random_groups, random_perm
+from conftest import class_by_type, cover_group, random_groups, random_perm, row_keys
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +407,7 @@ def test_chain_matches_oracle_on_s4_42_orbit(s4_42_orbit):
 
 
 def bfs_orbits_oracle(step, points):
-    """Oracle: the per-point Python BFS loop that orbit_partition replaced."""
+    """Oracle: the orbits through the points by a per-point Python BFS."""
     orbits = []
     reached = set()
     for start in sorted(set(points)):
@@ -433,20 +433,26 @@ def random_step(rng, k, m):
     return np.array([rng.permutation(m) for _ in range(k)], dtype=np.int64).reshape(k, m)
 
 
-def test_orbit_partition_matches_bfs_oracle():
+def test_label_orbits_matches_bfs_oracle():
     rng = np.random.default_rng(11)
     for _ in range(200):
         k = int(rng.integers(0, 4))
         m = int(rng.integers(1, 40))
         step = random_step(rng, k, m)
+        labels = orbit_labels(step)
         want = bfs_orbits_oracle(step, range(m))
-        got = [orbit.tolist() for orbit in orbit_partition(step)]
+        got = [orbit.tolist() for orbit in label_orbits(labels)]
         assert got == want
-        assert all(orbit.dtype == np.int64 for orbit in orbit_partition(step))
-        assert orbit_labels(step).tolist() == _labels_of(want, m)
+        assert all(orbit.dtype == np.int64 for orbit in label_orbits(labels))
+        assert labels.tolist() == _labels_of(want, m)
         points = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
-        got = [orbit.tolist() for orbit in orbit_partition(step, points)]
-        assert got == bfs_orbits_oracle(step, points.tolist())
+        got = label_orbits(labels, points)
+        assert [orbit.tolist() for orbit in got] == bfs_orbits_oracle(step, points.tolist())
+        assert all(orbit.dtype == np.int64 for orbit in got)
+        reps, number = label_reps(labels)
+        assert reps.tolist() == [orbit[0] for orbit in want]
+        assert number.dtype == labels.dtype
+        assert number.tolist() == [reps.tolist().index(x) for x in labels.tolist()]
 
 
 def _labels_of(orbits, m):
@@ -559,14 +565,20 @@ def test_row_index_empty():
         index.positions(np.zeros((1, 3), dtype=np.uint16))
 
 
-def test_orbit_partition_edge_cases():
+def test_label_orbits_edge_cases():
+    def orbits(step, points=None):
+        return [o.tolist() for o in label_orbits(orbit_labels(step), points)]
+
     empty = np.empty((0, 5), dtype=np.int64)
-    assert [o.tolist() for o in orbit_partition(empty)] == [[0], [1], [2], [3], [4]]
-    assert [o.tolist() for o in orbit_partition(empty, [3, 1, 3])] == [[1], [3]]
-    assert [o.tolist() for o in orbit_partition(np.zeros((2, 1), dtype=np.int64))] == [[0]]
+    assert orbits(empty) == [[0], [1], [2], [3], [4]]
+    assert orbits(empty, [3, 1, 3]) == [[1], [3]]
+    assert orbits(np.zeros((2, 1), dtype=np.int64)) == [[0]]
     # a listed subset returns whole orbits, ordered by least point
     step = np.array([[5, 1, 3, 2, 4, 0]])
-    assert [o.tolist() for o in orbit_partition(step, [2, 5])] == [[0, 5], [2, 3]]
+    assert orbits(step, [2, 5]) == [[0, 5], [2, 3]]
+    assert orbits(step, []) == []
+    assert orbits(np.empty((0, 0), dtype=np.int64)) == []
+    assert [a.tolist() for a in label_reps(orbit_labels(step))] == [[0, 1, 2, 4], [0, 1, 2, 2, 3, 0]]
 
 
 def _closure_table(name, request):

@@ -1,6 +1,7 @@
 """Ambiguity, pseudosimplicity, rationality, automorphism groups."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hurwitz.structure import (
     minimal_generating_sequence,
 )
 
-from conftest import class_by_type, cover_group, random_groups
+from conftest import class_by_type, cover_group, random_groups, row_keys
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +657,73 @@ def test_aut_generator_maps_generate_aut_fixing_classes(name, types, outer, requ
     inner = len(table.gen_codes)
     assert np.array_equal(gens[:inner], structure.conjugation_maps(table.mul, table.inv, table.gen_codes))
     assert 2 ** (len(gens) - inner) <= outer
+
+
+def _aut_generator_maps_oracle(aut):
+    """Oracle: `aut_generator_maps` with the maps ordered by a stable
+    argsort of their generator images' row keys, and membership by a
+    breadth-first orbit of the identity, level by level."""
+    table = aut.table
+    gens = np.asarray(table.gen_codes, dtype=np.int64)
+    maps = aut.element_maps()
+    images = maps[:, gens]
+    order = np.argsort(row_keys(images, table.size), kind="stable")
+    index = hw.perms.RowIndex(images[order], table.size)
+
+    def after(g):
+        return order[index.positions(g[images])]
+
+    chosen = list(structure.conjugation_maps(table.mul, table.inv, gens))
+    step = [after(g) for g in chosen]
+    identity = order[index.positions(gens[None, :])]
+    while True:
+        inside = np.zeros(len(maps), dtype=bool)
+        inside[identity] = True
+        frontier = identity
+        while frontier.size:
+            reached = np.concatenate([s[frontier] for s in step])
+            frontier = np.unique(reached[~inside[reached]])
+            inside[frontier] = True
+        outside = np.flatnonzero(~inside)
+        if not len(outside):
+            return np.reshape(chosen, (len(chosen), table.size)).astype(table.mul.dtype)
+        chosen.append(maps[outside[0]])
+        step.append(after(chosen[-1]))
+
+
+def _gl42_aut():
+    """Aut(C2^4) = GL(4, 2) on the table codes of C2^4 = <(1 2), (3 4),
+    (5 6), (7 8)>, in the order of its matrices' columns; Inn is trivial."""
+    group = PermGroup.from_cycles(8, ["(1 2)", "(3 4)", "(5 6)", "(7 8)"])
+    table = group.table()
+    bits = 1 << np.arange(4)
+    vector_of = ((table.images[:, ::2] != np.arange(0, 8, 2)) * bits).sum(axis=1)
+    code_of = np.argsort(vector_of)
+    columns = np.array(np.meshgrid(*[np.arange(16)] * 4, indexing="ij")).reshape(4, -1).T
+    # image of the vector v under the matrix: the XOR of the columns at v's bits
+    on_vectors = np.zeros((len(columns), 16), dtype=np.int64)
+    for i in range(4):
+        on_vectors ^= np.where((np.arange(16) & bits[i]) != 0, columns[:, i : i + 1], 0)
+    invertible = np.array([len(set(row)) == 16 for row in on_vectors.tolist()])
+    maps = code_of[on_vectors[invertible][:, vector_of]].astype(table.mul.dtype)
+    assert len(maps) == 20160
+    return SimpleNamespace(table=table, element_maps=lambda: maps)
+
+
+@pytest.mark.parametrize("name", ["s4", "s5", "s6", "pgl27", "c2_4"])
+def test_aut_generator_maps_matches_oracle(name, request):
+    if name == "c2_4":
+        aut = _gl42_aut()
+    else:
+        aut = hw.automorphism_group(request.getfixturevalue(name))
+    got = hw.aut_generator_maps(aut)
+    want = _aut_generator_maps_oracle(aut)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    if name == "c2_4":
+        # Inn is trivial: one identity conjugation per generator, then the
+        # outer maps, each at least doubling the group
+        assert len(got) - len(aut.table.gen_codes) <= 14
+        assert _generated_maps_oracle(got) == {row.tobytes() for row in aut.element_maps()}
 
 
 def test_find_isomorphism():
