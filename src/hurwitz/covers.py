@@ -469,8 +469,7 @@ class LiftData:
                 )
         self.lift_of = lift_of
         self.chosen = tuple(chosen)
-        self.kernel_sorted = sorted(ext.kernel_codes)
-        self._kernel_index = {c: i for i, c in enumerate(self.kernel_sorted)}
+        self.kernel_sorted = np.sort(np.array(ext.kernel_codes, dtype=np.int64))
 
     def label_codes_for_rows(self, rows):
         """Kernel label index per row of an (N, n) base-code array."""
@@ -481,12 +480,10 @@ class LiftData:
         acc = np.full(len(rows), ct.identity, dtype=np.int64)
         for j in range(rows.shape[1]):
             acc = ct.mul[acc, lifted[:, j]].astype(np.int64)
-        out = np.empty(len(rows), dtype=np.int64)
-        for i, code in enumerate(acc):
-            idx = self._kernel_index.get(int(code))
-            if idx is None:
-                raise InternalCheckError("lift product landed outside the kernel")
-            out[i] = idx
+        out = np.searchsorted(self.kernel_sorted, acc)
+        found = self.kernel_sorted[np.minimum(out, len(self.kernel_sorted) - 1)]
+        if (found != acc).any():
+            raise InternalCheckError("lift product landed outside the kernel")
         return out
 
     def label_of_tuple(self, t):

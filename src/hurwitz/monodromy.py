@@ -12,14 +12,18 @@ asymptotic statements never meet them but small multiplicities do.
 
 Fullness is proved first by Jordan's theorem: a primitive group containing
 a cycle of prime length p <= |X| - 3 contains Alt(X), and the generators'
-parities then decide between Alt(X) and Sym(X).  Quasi-fullness of orbits
-whose sizes (those >= 3) are pairwise different and all >= 5 follows from
-the fullness of each orbit alone, and a quasi-full action's order is the
-product of the alternating orders times 2^r, r the GF(2) rank of the
-generators' per-orbit sign vectors.  Orbits the witness does not decide
-(imprimitive, of size 3 or 4, or without a witness within the word
-budget), and quasi-fullness outside the distinct-degree case, fall back to
-deterministic Schreier-Sims stabilizer chains, which stay exact.
+parities then decide between Alt(X) and Sym(X).  Orbits the witness does
+not decide (imprimitive, of size 3 or 4, or without a witness within the
+word budget) take the exact order of their restriction from a
+deterministic Schreier-Sims stabilizer chain.
+
+An action is quasi-full exactly when its order is the product of the
+alternating orders of its orbits times 2^r, r the GF(2) rank of the
+generators' per-orbit sign vectors, so quasi-fullness is one comparison
+of orders (`quasi_fullness`).  When every orbit is full and the orbit
+sizes >= 3 are pairwise different and all >= 5, the action is quasi-full
+by Goursat and that product is its order; any other action on several
+orbits takes its order from one chain on the whole fiber.
 """
 
 from __future__ import annotations
@@ -325,13 +329,14 @@ def monodromy_group(fiber, gen_arrays=None, words=None, lift_data=None, mass=Non
     conclusive witness gives |X|! when some restricted generator is odd and
     |X|!/2 otherwise.  Any other orbit gets the exact order of its
     restriction from a stabilizer chain, and a non-full orbit additionally
-    gets an imprimitivity system when one exists.  The group order of a
-    quasi-full action is the product of the alternating orders times 2^r,
-    r the GF(2) rank of the generators' per-orbit sign vectors (the group
-    contains the product of the alternating groups, and the quotient by it
-    is the span of those vectors); a single orbit reuses its own order, and
-    any other action takes the order of a chain on the whole fiber.  The
-    group on the whole fiber is built only on those chain routes.
+    gets an imprimitivity system when one exists.  The group order comes
+    by one of three routes: a single orbit reuses its own order; orbits
+    that are all full, with pairwise different sizes >= 5 among those
+    >= 3, are quasi-full by Goursat, so the order is the product of the
+    alternating orders times 2^r, r the GF(2) rank of the generators'
+    per-orbit sign vectors; any other action takes the order of one chain
+    on the whole fiber.  `quasi_fullness` then compares that order with
+    the product formula.
     """
     if gen_arrays is None:
         words, gen_arrays = fiber_generator_arrays(fiber, words)
@@ -363,14 +368,19 @@ def monodromy_group(fiber, gen_arrays=None, words=None, lift_data=None, mass=Non
                 route=route,
             )
         )
-    quasi = quasi_fullness(gen_arrays, orbits, per_orbit)
+    sign_rank = _gf2_rank(sign_vectors)
+    degrees = [v.size for v in per_orbit if v.size >= 3]
     if orbits.count == 1:
         order = per_orbit[0].group_order
-    elif quasi:
-        alternating = prod(max(1, factorial(v.size) // 2) for v in per_orbit)
-        order = alternating * 2 ** _gf2_rank(sign_vectors)
+    elif (
+        all(v.full for v in per_orbit)
+        and min(degrees, default=5) >= 5
+        and len(set(degrees)) == len(degrees)
+    ):
+        order = _quasi_full_order(per_orbit, sign_rank)
     else:
         order = _fiber_group(gen_arrays).order()
+    quasi = quasi_fullness(per_orbit, order, sign_rank)
     census = None
     if orbits.labels is not None:
         census = {
@@ -404,49 +414,32 @@ def _fiber_group(arrays):
     )
 
 
-def quasi_fullness(arrays, orbits, per_orbit):
-    """Whether the action contains the product of its orbit alternating groups.
+def _quasi_full_order(per_orbit, sign_rank):
+    """2^r times the order of the product of the orbit alternating groups."""
+    return prod(max(1, factorial(v.size) // 2) for v in per_orbit) * 2**sign_rank
 
-    `arrays` are the generators' index arrays on all points.  Requires
-    every orbit individually full.  When the orbits of size >= 3
-    all have size >= 5 and pairwise different sizes, that suffices: the
-    perfect core of the group maps onto each A_n and trivially on orbits
-    of size <= 2, and a subdirect product of pairwise non-isomorphic
-    nonabelian simple groups is their direct product (Goursat).  Otherwise
-    the chain route of `_quasi_fullness_by_chain` decides.
+
+def quasi_fullness(per_orbit, order, sign_rank):
+    """Whether a group of this order contains the product of its orbit
+    alternating groups.
+
+    Let G act on X, the disjoint union of its orbits X_1..X_m, and let
+    sigma: G -> F_2^m send g to its signs on the orbits.  sigma is a
+    homomorphism whose image is spanned by the generators' sign vectors,
+    so it has order 2^r with r = `sign_rank`, their GF(2) rank.  Its
+    kernel is G intersected with the product P of the Alt(X_i), so
+    |G| = 2^r |ker sigma| <= 2^r |P|, with equality exactly when G contains
+    P.  The test assumes nothing about the orbits; on a single orbit it is
+    `full_by_order`.  Alt(X_i) is trivial for |X_i| <= 2.
+
+    When every orbit is full and the orbits of size >= 3 have pairwise
+    different sizes >= 5, G contains P without a chain: the perfect core
+    of G maps onto each A_n and trivially on orbits of size <= 2, and a
+    subdirect product of pairwise non-isomorphic nonabelian simple groups
+    is their direct product (Goursat).  `monodromy_group` then takes the
+    order from the formula, and the test holds by construction.
     """
-    if not all(v.full for v in per_orbit):
-        return False
-    members = orbits.orbit_members
-    if len(members) <= 1:
-        return True
-    degrees = [v.size for v in per_orbit if v.size >= 3]
-    if min(degrees, default=5) >= 5 and len(set(degrees)) == len(degrees):
-        return True
-    return _quasi_fullness_by_chain(arrays, members)
-
-
-def _quasi_fullness_by_chain(arrays, members):
-    """Quasi-fullness of an action whose orbits are each full, by chains.
-
-    The pointwise stabilizer of all other orbits (base ordered through them
-    first) must restrict onto at least the alternating group of each orbit
-    of size >= 3; Alt(X) is trivial on smaller orbits, which need nothing.
-    """
-    group = _fiber_group(arrays)
-    for i, orbit in enumerate(members):
-        m = len(orbit)
-        if m <= 2:
-            continue
-        others = [p for j, o in enumerate(members) if j != i for p in o]
-        chain = group.chain(base_prefix=tuple(others), strategy="natural")
-        stab_gens = chain.strong_generators(from_level=len(others))
-        restricted = _restriction_perms(
-            [np.array(g, dtype=np.int64) for g in stab_gens], orbit
-        )
-        if PermGroup(m, restricted).order() < factorial(m) // 2:
-            return False
-    return True
+    return order == _quasi_full_order(per_orbit, sign_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +565,8 @@ def cross_check_braid_orbits(h, budget=None):
     """
     from .nielsen import DEFAULT_TUPLE_BUDGET, apply_word_codes
 
-    budget = budget or DEFAULT_TUPLE_BUDGET
+    if budget is None:
+        budget = DEFAULT_TUPLE_BUDGET
     table = h.group.table()
     class_codes = [c.codes for c in h.classes]
     counts = {ci: v for ci, v in enumerate(h.nu)}

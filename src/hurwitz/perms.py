@@ -12,7 +12,8 @@ Conventions used throughout the package:
   derived ordering (elements, classes, orbits) comes from that order.
 
 Groups are backed by a deterministic Schreier-Sims stabilizer chain for
-orders and membership.  Every level acts by the elements that entered it:
+orders and membership, one per group, built on first use with base points
+the chain picks itself.  Every level acts by the elements that entered it:
 the generators and Schreier generators whose sift reached the level
 without sifting out, in their form there.  Schreier's lemma holds for any
 generating set, so each level's Schreier generators generate the
@@ -283,12 +284,8 @@ class StabilizerChain:
     orbit closes it, and the orbit grows in the same scan.  ``sifts``
     counts the Schreier generators sifted.
 
-    ``base_prefix`` forces the first base points (their levels exist even
-    with trivial orbits), which makes the pointwise stabilizer of a
-    prescribed point set directly readable off the chain.  ``strategy``
-    picks later base points: "greedy" prefers the point on the longest
-    cycle of the residue that founds the level (shallower chains),
-    "natural" takes the smallest moved point.
+    A new level's base point is the point on the longest cycle of the
+    residue that founds it, which keeps chains shallow.
 
     Internally permutations are bytes when the degree fits in one byte
     (the by-far common case here): a product p*q is p.translate(q padded
@@ -298,14 +295,8 @@ class StabilizerChain:
     ``operator.itemgetter(*p)(q)``.
     """
 
-    def __init__(self, generators, degree, base_prefix=(), strategy="greedy"):
-        if strategy not in ("greedy", "natural"):
-            raise InputError(f"unknown base strategy {strategy!r}; expected 'greedy' or 'natural'")
-        for b in base_prefix:
-            if not 0 <= b < degree:
-                raise InputError(f"base point {b} is outside the {degree} points 0..{degree - 1}")
+    def __init__(self, generators, degree):
         self.degree = degree
-        self.strategy = strategy
         self._bytes_mode = degree <= 256
         if self._bytes_mode:
             self._ident = bytes(range(degree))
@@ -317,7 +308,7 @@ class StabilizerChain:
             self._table = tuple
         # (base point, inverse tables) per level: what sift reads
         self._path = []
-        self.levels = [self._new_level(b) for b in base_prefix]
+        self.levels = []
         self.sifts = 0
         for gen in generators:
             self.add(gen.images if isinstance(gen, Permutation) else gen)
@@ -394,10 +385,8 @@ class StabilizerChain:
         return j
 
     def _pick_point(self, residue):
+        # the point on the longest cycle of the residue
         moved = [i for i, j in enumerate(residue) if i != j]
-        if self.strategy == "natural":
-            return moved[0]
-        # greedy: point on the longest cycle of the residue
         best, best_len = moved[0], 0
         seen = set()
         for start in moved:
@@ -454,20 +443,6 @@ class StabilizerChain:
                 if j is not None:
                     for k in range(j, i, -1):
                         self._fix_level(k)
-
-    def strong_generators(self, from_level=0):
-        """T_k for k = from_level, as image tuples: generators of G^(k), the
-        pointwise stabilizer of the first k base points.
-
-        <T_k> = G^(k) by the induction in the class docstring, which rests
-        on T_{k+1} lying in <T_k>.  It is also <S_k>, S_k being the residues
-        of the elements that entered levels >= k (the strong generators of
-        depth >= k): S_k lies in the union of the T_j for j >= k, hence in
-        <T_k>, which lies in G^(k) = <S_k>.
-        """
-        if from_level >= len(self.levels):
-            return []
-        return [tuple(t[: self.degree]) for t in self.levels[from_level].acting]
 
     def element_images(self, dtype):
         """The images of every element of the group, one row each, sorted
@@ -889,9 +864,7 @@ class PermGroup:
 
     # -- chain-backed queries -------------------------------------------------
 
-    def chain(self, base_prefix=(), strategy="greedy"):
-        if base_prefix or strategy != "greedy":
-            return StabilizerChain(self.generators, self.degree, base_prefix, strategy)
+    def chain(self):
         if self._chain is None:
             self._chain = StabilizerChain(self.generators, self.degree)
         return self._chain

@@ -432,6 +432,16 @@ def test_a5_n6_two_labels(a5_n6):
     assert set(int(x) for x in labels) == {0, 1}
 
 
+def test_label_of_a_row_whose_product_is_not_one(a5_n4):
+    # four copies of one 3-cycle multiply to that 3-cycle, so the product
+    # of their lifts lies outside the kernel
+    h, lift = a5_n4["h"], a5_n4["lift"]
+    code = int(h.classes[0].codes[0])
+    rows = np.array([[code] * h.n], dtype=np.int64)
+    with pytest.raises(hw.InternalCheckError, match="outside the kernel"):
+        lift.label_codes_for_rows(rows)
+
+
 def test_lifting_invariant_object(a5_n4, ext_sl25):
     h = a5_n4["h"]
     t = a5_n4["tuples"].tuple_at(0)

@@ -17,7 +17,6 @@ from hurwitz.monodromy import (
     OrbitVerdict,
     _block_system,
     _is_transitive,
-    _quasi_fullness_by_chain,
     _restriction_perms,
     braid_orbits,
     conway_parker_report,
@@ -28,9 +27,9 @@ from hurwitz.monodromy import (
     fullness_by_jordan_witness,
     mass_report,
     monodromy_group,
-    quasi_fullness,
 )
 
+from _chain_oracle import ChainOracle
 from conftest import class_by_type
 
 
@@ -234,36 +233,45 @@ def _count_chains(monkeypatch):
     return built
 
 
+def _monodromy_counting_chains(gens, monkeypatch):
+    """monodromy_group on bare generators, and the degrees of the chains it built."""
+    arrays = [np.array(g.images) for g in gens]
+    built = _count_chains(monkeypatch)
+    rep = monodromy_group(_FakeFiber(len(arrays[0])), gen_arrays=arrays)
+    monkeypatch.undo()
+    return arrays, rep, built
+
+
 def test_quasi_fullness_synthetic(monkeypatch):
     A5 = PermGroup.from_cycles(5, ["(1 2 3)", "(3 4 5)"])
-    diag_gens = _diagonal_action(A5.generators, 5)
-    prod_gens = _product_action(A5.generators, 5)
+    # equal degrees: no shortcut, one chain on all 10 points decides
+    arrays, diag, built = _monodromy_counting_chains(_diagonal_action(A5.generators, 5), monkeypatch)
+    assert all(v.full for v in diag.per_orbit)  # each orbit restriction is Alt(5)
+    assert not diag.quasi_full  # but the diagonal is far from Alt x Alt
+    assert diag.group_order == 60
+    assert built.count(10) == 1
+    _assert_routes_agree(arrays, diag)
 
-    def run(gens):
-        arrays = [np.array(g.images) for g in gens]
-        orbits = braid_orbits(_FakeFiber(10), arrays)
-        per_orbit = []
-        for members in orbits.orbit_members:
-            perms = _restriction_perms(arrays, members)
-            order = PermGroup(len(members), perms).order()
-            per_orbit.append(
-                OrbitVerdict(len(members), order, full_by_order(len(members), order))
-            )
-        built = _count_chains(monkeypatch)
-        quasi = quasi_fullness(arrays, orbits, per_orbit)
-        monkeypatch.undo()
-        return quasi, per_orbit, built
+    arrays, product, built = _monodromy_counting_chains(_product_action(A5.generators, 5), monkeypatch)
+    assert all(v.full for v in product.per_orbit)
+    assert product.quasi_full
+    assert product.group_order == 60 * 60
+    assert built.count(10) == 1
+    _assert_routes_agree(arrays, product)
 
-    # equal degrees: no shortcut, the chain decides
-    quasi_diag, po_diag, built = run(diag_gens)
-    assert all(v.full for v in po_diag)  # each orbit restriction is Alt(5)
-    assert not quasi_diag  # but the diagonal is far from Alt x Alt
-    assert built
 
-    quasi_prod, po_prod, built = run(prod_gens)
-    assert all(v.full for v in po_prod)
-    assert quasi_prod
-    assert built
+def test_a20_diagonal_and_product_take_one_fiber_chain(monkeypatch):
+    A20 = PermGroup.alternating(20)
+    for action, quasi, order in (
+        (_diagonal_action, False, factorial(20) // 2),
+        (_product_action, True, (factorial(20) // 2) ** 2),
+    ):
+        arrays, rep, built = _monodromy_counting_chains(action(A20.generators, 20), monkeypatch)
+        assert [(v.size, v.route, v.full) for v in rep.per_orbit] == [(20, "jordan", True)] * 2
+        assert rep.quasi_full == quasi
+        assert rep.group_order == order
+        assert built.count(40) == 1
+        _assert_routes_agree(arrays, rep)
 
 
 def test_quasi_fullness_ignores_orbits_of_size_at_most_two():
@@ -287,8 +295,32 @@ def test_quasi_fullness_ignores_orbits_of_size_at_most_two():
         assert rep.group_order == order
 
 
+def _quasi_full_by_base_prefix(arrays, members):
+    """Quasi-fullness of an action whose orbits are each full, by chains
+    whose base runs through all other orbits first.
+
+    The pointwise stabilizer of all other orbits must restrict onto at
+    least the alternating group of each orbit of size >= 3; Alt(X) is
+    trivial on smaller orbits, which need nothing.
+    """
+    n = len(arrays[0])
+    gens = [tuple(int(x) for x in a) for a in arrays]
+    for i, orbit in enumerate(members):
+        m = len(orbit)
+        if m <= 2:
+            continue
+        others = tuple(p for j, o in enumerate(members) if j != i for p in o)
+        chain = ChainOracle(gens, n, base_prefix=others, strategy="natural")
+        stab_gens = chain.strong_generators(from_level=len(others))
+        restricted = _restriction_perms([np.array(g, dtype=np.int64) for g in stab_gens], orbit)
+        if ChainOracle(restricted, m).order() < factorial(m) // 2:
+            return False
+    return True
+
+
 def _chain_oracle(arrays):
-    """Orders and verdicts by stabilizer chains alone: the fallback route."""
+    """Orders and verdicts by stabilizer chains alone, quasi-fullness by
+    the pointwise stabilizers of the other orbits."""
     n = len(arrays[0])
     orbits = braid_orbits(_FakeFiber(n), arrays)
     group = PermGroup(n, [Permutation(int(x) for x in a) for a in arrays])
@@ -300,7 +332,7 @@ def _chain_oracle(arrays):
         blocks = None if full else _block_system(perms, len(members))
         per_orbit.append((len(members), order, full, blocks))
     quasi = all(v[2] for v in per_orbit) and (
-        len(per_orbit) <= 1 or _quasi_fullness_by_chain(arrays, orbits.orbit_members)
+        len(per_orbit) <= 1 or _quasi_full_by_base_prefix(arrays, orbits.orbit_members)
     )
     return group.order(), per_orbit, quasi
 
@@ -404,10 +436,7 @@ def test_distinct_degree_product_quasi_full_without_chain(monkeypatch):
     first_odd = Permutation.from_cycles("(4 5)", 12)
     alt = factorial(5) // 2 * factorial(7) // 2
     for gens, rank in ((even + [both_odd], 1), (even + [both_odd, first_odd], 2)):
-        arrays = [np.array(g.images) for g in gens]
-        built = _count_chains(monkeypatch)
-        rep = monodromy_group(_FakeFiber(12), gen_arrays=arrays)
-        monkeypatch.undo()
+        arrays, rep, built = _monodromy_counting_chains(gens, monkeypatch)
         assert not built
         assert [(v.size, v.route, v.full) for v in rep.per_orbit] == [
             (5, "jordan", True),
@@ -426,13 +455,10 @@ def test_four_point_orbit_takes_chain_route(monkeypatch):
         Permutation.from_cycles("(5 6)", 9),
         Permutation.from_cycles("(5 6 7 8 9)", 9),
     ]
-    arrays = [np.array(g.images) for g in gens]
-    built = _count_chains(monkeypatch)
-    rep = monodromy_group(_FakeFiber(9), gen_arrays=arrays)
-    monkeypatch.undo()
+    arrays, rep, built = _monodromy_counting_chains(gens, monkeypatch)
     assert [(v.size, v.route) for v in rep.per_orbit] == [(4, "chain"), (5, "jordan")]
     assert rep.quasi_full
-    assert 9 in built  # quasi-fullness went through a chain on all 9 points
+    assert built.count(9) == 1  # the order came from one chain on all 9 points
     assert rep.group_order == factorial(4) * factorial(5)
     _assert_routes_agree(arrays, rep)
 
@@ -555,6 +581,13 @@ def test_mass_degenerate_fiber(s5):
 
 def test_cross_check_h25(h25):
     assert cross_check_braid_orbits(h25)
+
+
+def test_cross_check_honours_zero_budget(h25):
+    with pytest.raises(hw.BudgetError):
+        hw.enumerate_tuples(h25, budget=0)
+    with pytest.raises(hw.BudgetError):
+        cross_check_braid_orbits(h25, budget=0)
 
 
 def test_cross_check_s3_toy():

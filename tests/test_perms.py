@@ -126,12 +126,11 @@ def test_order_matches_closure_on_random_groups():
 
 
 def test_order_invariant_under_base_strategy(s5, a5, pgl27):
+    # the chain picks its own base; the oracle's other bases give the same order
     for G in (s5, a5, pgl27):
-        greedy = StabilizerChain(G.generators, G.degree, strategy="greedy").order()
-        natural = StabilizerChain(G.generators, G.degree, strategy="natural").order()
-        prefixed = StabilizerChain(
-            G.generators, G.degree, base_prefix=(G.degree - 1, 0)
-        ).order()
+        greedy = StabilizerChain(G.generators, G.degree).order()
+        natural = ChainOracle(G.generators, G.degree, strategy="natural").order()
+        prefixed = ChainOracle(G.generators, G.degree, base_prefix=(G.degree - 1, 0)).order()
         assert greedy == natural == prefixed == G.order()
 
 
@@ -255,30 +254,12 @@ def test_membership(s5, a5):
     assert Permutation.from_cycles("(1 2 3)", 5) in a5
 
 
-def test_pointwise_stabilizer_prefix(s6):
-    chain = s6.chain(base_prefix=(0, 1), strategy="natural")
-    stab_gens = chain.strong_generators(from_level=2)
-    H = PermGroup(6, [Permutation(g) for g in stab_gens])
-    assert H.order() == 24  # S4 on the remaining four points
-    assert all(g.images[0] == 0 and g.images[1] == 1 for g in H.generators)
-
-
 def test_normal_closure(s4):
     double = Permutation.from_cycles("(1 2)(3 4)", 4)
     v4 = s4.normal_closure([double])
     assert v4.order() == 4
     trans = Permutation.from_cycles("(1 2)", 4)
     assert s4.normal_closure([trans]).order() == 24
-
-
-def test_chain_rejects_unknown_strategy():
-    with pytest.raises(hw.InputError, match="bogus"):
-        StabilizerChain([Permutation.from_cycles("(1 2)", 3)], 3, strategy="bogus")
-
-
-def test_chain_rejects_base_point_outside_degree():
-    with pytest.raises(hw.InputError, match="base point 7"):
-        StabilizerChain([Permutation.from_cycles("(1 2 3 4 5)", 5)], 5, base_prefix=(7,))
 
 
 # ---------------------------------------------------------------------------
@@ -292,26 +273,26 @@ def _random_word(rng, gens, degree, length=12):
     return word
 
 
-def _assert_chain_matches_oracle(gens, degree, rng, base_prefix=(), strategy="greedy", depths=None):
+def _assert_chain_matches_oracle(gens, degree, rng, depths=None):
     """Order, membership and pointwise stabilizers against ChainOracle.
 
-    ``depths`` are the k whose strong generators are checked (default:
+    ``depths`` are the k whose acting elements T_k are checked (default:
     every k from 0 to the number of levels).
     """
-    chain = StabilizerChain(gens, degree, base_prefix, strategy)
-    oracle = ChainOracle(gens, degree, base_prefix, strategy)
+    chain = StabilizerChain(gens, degree)
+    oracle = ChainOracle(gens, degree)
     assert chain.order() == oracle.order()
-    assert chain.base()[: len(base_prefix)] == list(base_prefix)
     probes = [random_perm(rng, degree) for _ in range(8)]
     probes += [_random_word(rng, gens, degree) for _ in range(8)]
     for p in probes:
         assert chain.contains(p) == oracle.contains(p)
-    # what _quasi_fullness_by_chain reads at k = len(base_prefix): the strong
-    # generators from level k on generate the pointwise stabilizer of the
-    # first k base points, whose order is the product of the deeper orbits
+    # T_k, the elements that entered level k, generate the pointwise
+    # stabilizer of the first k base points, whose order is the product of
+    # the deeper orbits
     base = chain.base()
     for k in range(len(chain.levels) + 1) if depths is None else depths:
-        stab = chain.strong_generators(from_level=k)
+        acting = chain.levels[k].acting if k < len(chain.levels) else []
+        stab = [tuple(t[:degree]) for t in acting]
         assert all(g[b] == b for g in stab for b in base[:k])
         pointwise = math.prod(len(level.transversal) for level in chain.levels[k:])
         assert ChainOracle(stab, degree).order() == pointwise
@@ -333,30 +314,26 @@ def _sparse_groups(count, seed):
             for a, b in zip(moved, rng.sample(moved, 9)):
                 images[a] = b
             gens.append(Permutation(images))
-        groups.append((degree, gens, window))
+        groups.append((degree, gens))
     return groups
 
 
 def test_chain_matches_oracle_on_random_groups():
     rng = random.Random(37)
     for G in random_groups():
-        prefix = tuple(rng.randrange(G.degree) for _ in range(rng.randint(1, 2)))
-        for base_prefix in ((), prefix):
-            for strategy in ("greedy", "natural"):
-                _assert_chain_matches_oracle(G.generators, G.degree, rng, base_prefix, strategy)
+        _assert_chain_matches_oracle(G.generators, G.degree, rng)
 
 
 def test_chain_matches_oracle_in_tuple_mode():
     rng = random.Random(41)
-    for degree, gens, window in _sparse_groups(6, 43):
+    for degree, gens in _sparse_groups(6, 43):
         _assert_chain_matches_oracle(gens, degree, rng)
-        _assert_chain_matches_oracle(gens, degree, rng, tuple(window[:2]), "natural")
 
 
 def test_chain_matches_oracle_through_repeated_adds(monkeypatch):
     rng = random.Random(47)
     cases = [(G.degree, list(G.generators)) for G in random_groups()[:25]]
-    cases += [(degree, gens) for degree, gens, _ in _sparse_groups(2, 53)]
+    cases += _sparse_groups(2, 53)
     for degree, gens in cases:
         # one add per element, as PermGroup.normal_closure calls it
         chain = StabilizerChain([], degree)
