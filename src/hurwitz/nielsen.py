@@ -21,22 +21,28 @@ last two positions come from joining the leaves with the (a, b) pairs of
 the last two classes sorted by product a*b.
 
 The tuple set is kept sorted, so the lexicographically least tuple of any
-orbit is the orbit's least index, and a prefix-rank index over its rows
-(`perms.RowIndex`) locates any tuple by one gather per column.  Fibers are
-tuple sets modulo Inn(G) or Aut(G, C).  The inn fiber maps every tuple by
-the conjugations by the group's generators and locates the images in the
-index; the orbits of those index arrays give every tuple the least index
-of its orbit, and the points are the tuples whose label is their own index.
-The aut fiber is the same construction one level up: the outer generators
-of Aut(G, C) move the inn points' rows, the moved rows are read back as inn
-points, and their orbits on the inn points give the aut points.  A braid
-word moves the points' rows, and the moved rows are located the same way
-and read off as points.  Hot paths run on numpy code arrays in the table's
-code dtype; tuples are exposed as objects at the API boundary.
+orbit is the orbit's least index.  Fibers are tuple sets modulo Inn(G) or
+Aut(G, C).  Every Inn(G)-orbit holds tuples whose first entry is x0, the
+least code of position 0's class C0, and those tuples lead the sorted set:
+the slice, N / |C0| rows.  An orbit meets the slice in one orbit of the
+centralizer C_G(x0) acting by conjugation, and holds its least tuple
+there.  So the inn fiber maps only the slice, by a few generators of
+C_G(x0), and locates the images in a prefix-rank index over the slice's
+rows (`perms.RowIndex`, one gather per column); the orbits of those index
+arrays give every slice row the least index of its orbit, and the points
+are the rows whose label is their own index.  Any other tuple is first
+conjugated into the slice by a table of conjugators.  The aut fiber is the
+same construction one level up: the outer generators of Aut(G, C) move the
+inn points' rows, the moved rows are read back as inn points, and their
+orbits on the inn points give the aut points.  A braid word moves the
+points' rows, and the moved rows are located the same way and read off as
+points.  Hot paths run on numpy code arrays in the table's code dtype;
+tuples are exposed as objects at the API boundary.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,16 +266,20 @@ def braid_nu_generators(nu):
 class NielsenTupleSet:
     """The full tuple set of a parameter, stored as an (N, n) code array.
 
-    The rows are sorted on construction, and `index`, a `RowIndex` over
-    them, gives any row's position.
+    The rows are sorted on construction.  `index`, a `RowIndex` over all
+    of them, gives any row's position; it is built on first use, and
+    fibers never use it (they index only their slice).
     """
 
     def __init__(self, h, codes, visits):
         self.h = h
         self.table = h.group.table()
         self.codes = sorted_rows(codes)
-        self.index = RowIndex(self.codes, self.table.size)
         self.visits = visits
+
+    @functools.cached_property
+    def index(self):
+        return RowIndex(self.codes, self.table.size)
 
     def __len__(self):
         return len(self.codes)
@@ -537,20 +547,25 @@ class Fiber:
     """Tuples of a parameter modulo Inn(G) (mode "inn") or Aut(G, C) ("aut").
 
     Points are the tuples that are the least of their orbit under the
-    acting group, in sorted order; `rows` holds their code rows.
-    `point_of_tuple` (int32) gives the point of every tuple, and `index` is
-    the tuple set's `RowIndex`, so any tuple's point is one lookup away.
-    `acting_size` is the order of the acting group.
+    acting group, in sorted order; `rows` holds their code rows.  The
+    slice is the tuples whose first entry is x0, the least code of
+    position 0's class C0; `slice_index` is a `RowIndex` over its rows,
+    `point_of_slice` (int32) the point of every slice row, and
+    `to_slice[y]` a code g with g^-1 y g = x0 for every y in C0 (-1
+    elsewhere).  `points_of` locates any tuple through them.
+    `tuple_count` is the size of the whole tuple set, and `acting_size`
+    the order of the acting group.
     """
 
-    def __init__(self, h, mode, rows, point_of_tuple, index, acting_size):
+    def __init__(self, h, mode, rows, slice_index, to_slice, point_of_slice, tuple_count, acting_size):
         self.h = h
         self.mode = mode
         self.table = h.group.table()
         self.rows = rows
-        self.point_of_tuple = point_of_tuple
-        self.index = index
-        self.tuple_count = len(point_of_tuple)
+        self.slice_index = slice_index
+        self.to_slice = to_slice
+        self.point_of_slice = point_of_slice
+        self.tuple_count = tuple_count
         self.acting_size = acting_size
 
     def __len__(self):
@@ -562,25 +577,37 @@ class Fiber:
     def points(self):
         return [self.point(i) for i in range(len(self.rows))]
 
+    def points_of(self, rows):
+        """The point of every code row, each a tuple of the set: the row is
+        conjugated by to_slice[row[0]], which makes its first entry x0, and
+        located in the slice.  A row outside the tuple set, whether its
+        first entry lies outside C0 or not, raises InternalCheckError."""
+        g = self.to_slice[rows[:, 0]]
+        if (g < 0).any():
+            raise InternalCheckError("row's first entry is outside position 0's class")
+        # inner_maps()[g, y] = g^-1 y g, read through flat offsets
+        moved = self.table.inner_maps().take(g[:, None] * self.table.size + rows)
+        return self.point_of_slice[self.slice_index.positions(moved)]
+
     def canonicalize_tuple(self, t):
         """The point of t's orbit; InputError when t is not in the tuple set."""
         n = self.rows.shape[1]
         if len(t) != n:
             raise InputError(f"tuple of length {len(t)} in a fiber of {n}-tuples")
         try:
-            pos = self.index.positions(np.array([[self.table.code(g) for g in t]]))
+            point = self.points_of(np.array([[self.table.code(g) for g in t]]))[0]
         except InternalCheckError:
             raise InputError("tuple is not in the parameter's tuple set") from None
-        return NielsenTuple(self.table.perm(c) for c in self.rows[self.point_of_tuple[pos[0]]])
+        return NielsenTuple(self.table.perm(c) for c in self.rows[point])
 
 
-def _mapped_positions(index, rows, maps):
-    """Positions in `index` of the rows relabeled by each element map, as a
-    (len(maps), len(rows)) array, located in blocks of `_CANON_CHUNK` rows."""
-    out = np.empty((len(maps), len(rows)), dtype=index.rank_dtype)
+def _locate_mapped(locate, rows, maps):
+    """locate(amap[rows]) for every element map, as a (len(maps),
+    len(rows)) array, in blocks of `_CANON_CHUNK` rows."""
+    out = np.empty((len(maps), len(rows)), dtype=np.int32 if len(rows) < 2**31 else np.int64)
     for j, amap in enumerate(maps):
         for lo in range(0, len(rows), _CANON_CHUNK):
-            out[j, lo : lo + _CANON_CHUNK] = index.positions(amap[rows[lo : lo + _CANON_CHUNK]])
+            out[j, lo : lo + _CANON_CHUNK] = locate(amap[rows[lo : lo + _CANON_CHUNK]])
     return out
 
 
@@ -591,22 +618,55 @@ def _orbit_points(labels):
     return reps, number.astype(np.int32, copy=False)
 
 
+def _centralizer_generators(table, x):
+    """Codes generating C_G(x): greedy over its codes in increasing order,
+    each code outside the subgroup closed so far joining it, so at most
+    log2 |C_G(x)| of them."""
+    cent = table.centralizer_codes(x)
+    inside = np.zeros(table.size, dtype=bool)
+    inside[table.identity] = True
+    gens = []
+    for c in cent.tolist():
+        if not inside[c]:
+            gens.append(c)
+            sub = table.closure_codes([c], subgroup=np.flatnonzero(inside))
+            inside[list(sub)] = True
+            if len(sub) == len(cent):
+                break
+    return gens
+
+
+def _conjugators_to(table, x):
+    """to[y]: a code g with g^-1 y g = x for every conjugate y of x, from
+    one pass y = g x g^-1 over all g; -1 off x's class."""
+    g = np.arange(table.size)
+    to = np.full(table.size, -1, dtype=np.int64)
+    to[table.mul[table.mul[g, x], table.inv]] = g
+    return to
+
+
 def build_fiber(h, mode="aut", tuples=None, budget=None, inn=None):
     """The fiber of h: its tuple set's orbits under the acting group.
 
-    The inn fiber maps the tuples by the conjugations by the table's
-    generators, in blocks of `_CANON_CHUNK` rows, and locates the images in
-    the tuple set's `RowIndex`; the resulting index arrays go to
-    `orbit_labels`, whose least index per orbit is the lexicographically
-    least tuple of the orbit, since the tuple set is sorted.  So the points
-    equal the canonical forms over all acting maps without mapping any
-    tuple by more than the generators.  The aut fiber is built on the inn
-    fiber, whose points are the Inn(G)-orbits: the outer generators of
-    Aut(G, C) (`aut_generator_maps` after its inner conjugations) move the
-    inn points' rows, `point_of_tuple` reads the moved rows back as inn
-    points, and the least inn point of each orbit of those arrays, which
-    is the least tuple of its Aut(G, C)-orbit, is an aut point.  `inn`, an
-    inn fiber of the same tuple set, saves building it again.
+    The inn fiber works on the slice alone: the tuples whose first entry
+    is x0, the least code of position 0's class C0, which lead the sorted
+    tuple set and number N / |C0|.  Every Inn(G)-orbit meets the slice, in
+    one orbit of C_G(x0) acting by conjugation, and its least tuple lies
+    there.  So the slice rows are mapped by the conjugations by a small
+    generating set of C_G(x0), in blocks of `_CANON_CHUNK` rows, and
+    located in a `RowIndex` over the slice; the resulting index arrays go
+    to `orbit_labels`, whose least index per orbit is the
+    lexicographically least tuple of the orbit, since the slice is a
+    sorted prefix of the tuple set.  So the points equal the canonical
+    forms over all acting maps without mapping any tuple by more than the
+    generators, nor any tuple outside the slice at all.  The aut fiber is
+    built on the inn fiber, whose points are the Inn(G)-orbits: the outer
+    generators of Aut(G, C) (`aut_generator_maps` after its inner
+    conjugations) move the inn points' rows, `Fiber.points_of` reads the
+    moved rows back as inn points, and the least inn point of each orbit
+    of those arrays, which is the least tuple of its Aut(G, C)-orbit, is
+    an aut point.  `inn`, an inn fiber of the same tuple set, saves
+    building it again.
     """
     if mode not in ("inn", "aut"):
         raise InputError(f"unknown fiber mode {mode!r}; expected 'inn' or 'aut'")
@@ -614,20 +674,42 @@ def build_fiber(h, mode="aut", tuples=None, budget=None, inn=None):
     if inn is None:
         if tuples is None:
             tuples = enumerate_tuples(h, budget=budget)
-        gens = conjugation_maps(table.mul, table.inv, table.gen_codes)
-        step = _mapped_positions(tuples.index, tuples.codes, gens)
-        reps, point_of_tuple = _orbit_points(orbit_labels(step))
-        inn_order = table.size // table.center_order()
-        inn = Fiber(h, "inn", tuples.codes[reps], point_of_tuple, tuples.index, inn_order)
+        c0 = h.classes[0]
+        x0 = int(c0.codes[0])
+        # a copy, so that the fiber does not keep the whole tuple set alive
+        slice_rows = tuples.codes[: len(tuples) // c0.size].copy()
+        slice_index = RowIndex(slice_rows, table.size)
+        gens = conjugation_maps(table.mul, table.inv, _centralizer_generators(table, x0))
+        step = _locate_mapped(slice_index.positions, slice_rows, gens)
+        reps, point_of_slice = _orbit_points(orbit_labels(step))
+        inn = Fiber(
+            h,
+            "inn",
+            slice_rows[reps],
+            slice_index,
+            _conjugators_to(table, x0),
+            point_of_slice,
+            len(tuples),
+            table.size // table.center_order(),
+        )
     if mode == "inn":
         return inn
     from .structure import aut_fixing_classes, aut_generator_maps, automorphism_group
 
     aut = aut_fixing_classes(automorphism_group(h.group), h.classes)
     outer = aut_generator_maps(aut)[len(table.gen_codes) :]
-    step = inn.point_of_tuple[_mapped_positions(inn.index, inn.rows, outer)]
+    step = _locate_mapped(inn.points_of, inn.rows, outer)
     reps, point_of_inn = _orbit_points(orbit_labels(step))
-    return Fiber(h, "aut", inn.rows[reps], point_of_inn[inn.point_of_tuple], inn.index, aut.order)
+    return Fiber(
+        h,
+        "aut",
+        inn.rows[reps],
+        inn.slice_index,
+        inn.to_slice,
+        point_of_inn[inn.point_of_slice],
+        inn.tuple_count,
+        aut.order,
+    )
 
 
 def _apply_letter_codes(codes, letter, table):
@@ -655,11 +737,11 @@ def induced_permutation_array(fiber, words):
     """Index arrays of the permutations braid words induce on fiber points.
 
     A word moves every point's row to some tuple of the same orbit as the
-    point's image; that tuple is located in the tuple set's `RowIndex` and
-    read off through `point_of_tuple`.  The moved rows of as many words as
-    fit in `_CANON_CHUNK` rows go to one index call, so a small fiber pays
-    the per-level cost of a lookup once, not once per word.  Returns a
-    (len(words), len(fiber)) int32 array.
+    point's image; that tuple's point is read off by `Fiber.points_of`,
+    which conjugates it into the slice and locates it there.  The moved
+    rows of as many words as fit in `_CANON_CHUNK` rows go to one call, so
+    a small fiber pays the per-level cost of a lookup once, not once per
+    word.  Returns a (len(words), len(fiber)) int32 array.
     """
     words = list(words)
     out = np.empty((len(words), len(fiber)), dtype=np.int32)
@@ -667,8 +749,7 @@ def induced_permutation_array(fiber, words):
     for lo in range(0, len(words), step):
         batch = words[lo : lo + step]
         moved = np.concatenate([apply_word_codes(fiber.rows, w.letters, fiber.table) for w in batch])
-        positions = fiber.index.positions(moved).reshape(len(batch), -1)
-        out[lo : lo + len(batch)] = fiber.point_of_tuple[positions]
+        out[lo : lo + len(batch)] = fiber.points_of(moved).reshape(len(batch), -1)
     return out
 
 

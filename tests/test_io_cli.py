@@ -334,9 +334,11 @@ def test_cli_budget_exhausted_during_enumeration(tmp_path):
     ids=lambda args: "_".join(a for a in args if not a.startswith("-")),
 )
 def test_cli_fiber_paths_canonicalize_nothing(args, tmp_path, monkeypatch):
-    # fibers are orbits of generator index arrays on the sorted tuple set, and
-    # braid arrays read points through point_of_tuple: no tuple is mapped by
-    # every acting map, in either mode, whether or not Aut(G, C) = Inn(G)
+    # fibers are orbits of generator index arrays on the slice of the sorted
+    # tuple set that starts with x0, and braid arrays read points through
+    # Fiber.points_of: no tuple is mapped by every acting map, in either
+    # mode, whether or not Aut(G, C) = Inn(G), and no command builds the
+    # index over the whole tuple set
     from hurwitz import nielsen
 
     counted = []
@@ -344,24 +346,36 @@ def test_cli_fiber_paths_canonicalize_nothing(args, tmp_path, monkeypatch):
     monkeypatch.setattr(
         nielsen, "canonicalize_codes", lambda *a, **k: counted.append(1) or canonicalize(*a, **k)
     )
+    tuple_sets = []
+    enumerate_tuples = cli.enumerate_tuples
+    monkeypatch.setattr(
+        cli, "enumerate_tuples", lambda *a, **k: tuple_sets.append(enumerate_tuples(*a, **k)) or tuple_sets[-1]
+    )
     passes = []
-    mapped = nielsen._mapped_positions
+    located = nielsen._locate_mapped
 
-    def counting(index, rows, maps):
-        passes.append(len(rows))
-        return mapped(index, rows, maps)
+    def counting(locate, rows, maps):
+        passes.append((locate, len(rows)))
+        return located(locate, rows, maps)
 
-    monkeypatch.setattr(nielsen, "_mapped_positions", counting)
+    monkeypatch.setattr(nielsen, "_locate_mapped", counting)
     if args[1] == "pgl27_22":
         args = [args[0], str(tmp_path / "pgl27_22.json"), *args[2:]]
         Path(args[1]).write_text(json.dumps(_PGL27_22))
     code, report = run_cli(args, tmp_path)
     assert code == cli.EXIT_OK
     assert counted == []
-    # the inner generators map the tuple set once; the aut fiber, built on
-    # the inn fiber, maps only the inn points
+    [tuples] = tuple_sets
+    assert "index" not in tuples.__dict__
+    # the centralizer generators map exactly the slice's N / |C0| rows; the
+    # aut fiber, built on the inn fiber, maps only the inn points
     assert len(passes) == (1 if args[0] == "conway-parker" else 2)
-    assert passes == sorted(passes, reverse=True) and passes.count(passes[0]) == 1
+    (locate, rows), *aut_passes = passes
+    assert rows == len(locate.__self__.rows)
+    assert rows * tuples.h.classes[0].size == len(tuples)
+    for locate, rows in aut_passes:
+        inn = locate.__self__
+        assert inn.mode == "inn" and rows == len(inn)
 
 
 def test_cli_internal_check_exit_4(tmp_path, monkeypatch):

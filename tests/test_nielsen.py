@@ -14,13 +14,14 @@ from hurwitz import (
     braid_nu_generators,
 )
 from hurwitz.nielsen import (
+    _centralizer_generators,
     _enumerate_codes,
     _sorted_block_arrangement,
     apply_word_codes,
     canonicalize_codes,
     induced_permutation_array,
 )
-from hurwitz.perms import SubgroupCloser, conjugation_maps
+from hurwitz.perms import SubgroupCloser, conjugation_maps, label_reps, orbit_labels
 
 from conftest import class_by_type, row_keys
 
@@ -492,8 +493,16 @@ def test_canonicalize_tuple_outside_the_tuple_set(h25_data):
     # a product other than one: in every class, outside the tuple set
     swapped = NielsenTuple([t[1], t[0], *t.entries[2:]])
     assert swapped not in h25_data["tuples"]
-    with pytest.raises(hw.InputError, match="not in the parameter's tuple set"):
-        fiber.canonicalize_tuple(swapped)
+    # a first entry in position 0's class, and one outside it (a 5-cycle),
+    # which has no conjugator into the slice
+    for bad in (swapped, NielsenTuple([t[4], *t.entries[1:]])):
+        row = np.array([[fiber.table.code(g) for g in bad]])
+        outside = bad[0] == t[4]
+        assert (fiber.to_slice[row[0, 0]] < 0) == outside
+        with pytest.raises(hw.InternalCheckError, match="outside position 0's class" if outside else "missing"):
+            fiber.points_of(row)
+        with pytest.raises(hw.InputError, match="not in the parameter's tuple set"):
+            fiber.canonicalize_tuple(bad)
     with pytest.raises(hw.InputError, match="length"):
         fiber.canonicalize_tuple(NielsenTuple(t.entries[:4]))
 
@@ -571,46 +580,160 @@ def test_fiber_matches_canonical_fiber_oracle(name, modes, request):
         assert fiber.rows.dtype == G.table().mul.dtype
         assert np.array_equal(fiber.rows, rows)
         assert row_keys(fiber.rows, G.table().size).tobytes() == keys.tobytes()
-        assert np.array_equal(fiber.point_of_tuple, points)
+        # every tuple of the set, not only the slice, reads its oracle point
+        assert np.array_equal(fiber.points_of(tuples.codes), points)
+        _assert_slice_leads(fiber, tuples)
         got = induced_permutation_array(fiber, words)
         assert got.dtype == np.int32 and np.array_equal(got, arrays)
         if mode == "aut":
             # built on a separate inn fiber: the same points and arrays
             again = hw.build_fiber(h, "aut", inn=hw.build_fiber(h, "inn", tuples=tuples))
             assert np.array_equal(again.rows, fiber.rows)
-            assert np.array_equal(again.point_of_tuple, fiber.point_of_tuple)
+            assert np.array_equal(again.points_of(tuples.codes), points)
             assert np.array_equal(induced_permutation_array(again, words), got)
 
 
 _INDEX_CASES = ("a5_c3_n4", "a5_c3_n5", "a5_c3_n6", "h25", "s5_212", "s5_221", "s6_41", "pgl27_22", "s4_42")
 
 
+def _assert_slice_leads(fiber, tuples):
+    """The slice is the N / |C0| tuples that start with x0, the least code
+    of position 0's class, at the head of the sorted tuple set."""
+    c0 = fiber.h.classes[0]
+    x0 = int(c0.codes[0])
+    count = len(fiber.slice_index.rows)
+    assert len(tuples) == c0.size * count
+    assert (tuples.codes[:count, 0] == x0).all() and (tuples.codes[count:, 0] != x0).all()
+    assert np.array_equal(fiber.slice_index.rows, tuples.codes[:count])
+    assert np.flatnonzero(fiber.to_slice >= 0).tolist() == c0.codes.tolist()
+
+
+def _orbit_numbers(step):
+    """Oracle: the number of every point's orbit, orbits ordered by least
+    point (the fiber's point numbering on a sorted tuple set)."""
+    return label_reps(orbit_labels(np.asarray(step)))[1]
+
+
 @pytest.mark.parametrize("name", _INDEX_CASES)
 def test_tuple_index_matches_searchsorted_oracle(name, request):
     """Every lookup the fibers make, in both modes, against a binary search
-    over the tuples' sorted row keys."""
+    over the tuples' sorted row keys: the slice lookups of the inn fiber's
+    centralizer generators, the outer generators' lookups of inn points,
+    and the braid words' lookups of points.  The oracle's point of every
+    tuple comes from orbits on the whole tuple set, located by search."""
     group_name, types, nu, _ = _ORACLE_CASES[name]
     G = request.getfixturevalue(group_name.lower())
     h = hw.validate_parameter(G, [class_by_type(G, t) for t in types], nu)
     tuples = hw.enumerate_tuples(h)
     table = tuples.table
-    keys = row_keys(tuples.codes, table.size)
+    m = table.size
+    keys = row_keys(tuples.codes, m)
     assert np.sort(keys).tobytes() == keys.tobytes() and len(np.unique(keys)) == len(keys)
-    assert len(tuples.index.levels) <= h.n - 1
+
+    def oracle_positions(rows):
+        return _key_positions(keys, row_keys(rows, m))
+
     inner = conjugation_maps(table.mul, table.inv, table.gen_codes)
     aut = hw.aut_fixing_classes(hw.automorphism_group(G), h.classes)
     outer = hw.aut_generator_maps(aut)[len(inner):]
-    words = braid_nu_generators(h.nu)
+    inner_steps = [oracle_positions(amap[tuples.codes]) for amap in inner]
+    outer_steps = [oracle_positions(amap[tuples.codes]) for amap in outer]
+    for amap, want in zip(inner, inner_steps):
+        assert np.array_equal(tuples.positions(amap[tuples.codes]), want)
+    assert len(tuples.index.levels) <= h.n - 1
     inn = hw.build_fiber(h, "inn", tuples=tuples)
-    for fiber, maps in ((inn, inner), (hw.build_fiber(h, "aut", inn=inn), outer)):
-        for amap in maps:
-            moved = amap[tuples.codes]
-            want = _key_positions(keys, row_keys(moved, table.size))
-            assert np.array_equal(tuples.positions(moved), want)
-        for w in words:
+    slice_rows = inn.slice_index.rows
+    assert len(inn.slice_index.levels) <= h.n - 1
+    for amap in conjugation_maps(table.mul, table.inv, _centralizer_generators(table, slice_rows[0, 0])):
+        assert np.array_equal(inn.slice_index.positions(amap[slice_rows]), oracle_positions(amap[slice_rows]))
+    inn_point = _orbit_numbers(inner_steps)
+    for amap in outer:
+        moved = amap[inn.rows]
+        assert np.array_equal(inn.points_of(moved), inn_point[oracle_positions(moved)])
+    fibers = ((inn, inn_point), (hw.build_fiber(h, "aut", inn=inn), _orbit_numbers(inner_steps + outer_steps)))
+    for fiber, point in fibers:
+        assert np.array_equal(fiber.points_of(tuples.codes), point)
+        for w in braid_nu_generators(h.nu):
             moved = apply_word_codes(fiber.rows, w.letters, table)
-            want = _key_positions(keys, row_keys(moved, table.size))
-            assert np.array_equal(fiber.index.positions(moved), want)
+            assert np.array_equal(fiber.points_of(moved), point[oracle_positions(moved)])
+
+
+def _c2_s3():
+    """C2 x S3 on 5 points: center {1, (4 5)}."""
+    gens = [Permutation.from_cycles(c, 5) for c in ("(1 2)", "(1 2 3)", "(4 5)")]
+    return PermGroup(5, gens, name="C2xS3")
+
+
+def _d8():
+    """The dihedral group of order 8 on a square: center {1, (1 3)(2 4)}."""
+    return PermGroup(4, [Permutation.from_cycles(c, 4) for c in ("(1 2 3 4)", "(1 3)")], name="D8")
+
+
+# (group, class representatives, nu, tuple count, |C_G(x0)|); the bundled
+# base groups all have trivial center
+_CENTER_CASES = {
+    "c2s3_central": (_c2_s3, ("(4 5)", "(1 2)", "(1 2 3)"), (2, 4, 1), 54, 12),
+    "c2s3_transposition": (_c2_s3, ("(1 2)", "(4 5)", "(1 2 3)"), (4, 2, 1), 54, 4),
+    "d8_central": (_d8, ("(1 3)(2 4)", "(1 3)", "(1 2)(3 4)"), (2, 2, 2), 8, 8),
+    "s6_transposition": ("s6", ("(1 2)", "(1 2 3 4 5 6)"), (2, 2), 8640, 48),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CENTER_CASES))
+def test_fiber_slice_under_large_centralizers(name, request):
+    """A central class at position 0 makes the slice the whole tuple set
+    and C_G(x0) = G; an S6 transposition has a centralizer of order 48.
+    The fibers match the canonical oracle in both modes, and their braid
+    orbits match the orbits of the braid and inner generators on the
+    whole tuple set, whose braid orbits `cross_check_braid_orbits` checks
+    against the full braid group."""
+    make, reps, nu, count, centralizer = _CENTER_CASES[name]
+    G = request.getfixturevalue(make) if isinstance(make, str) else make()
+    h = hw.validate_parameter(G, [G.class_of(Permutation.from_cycles(r, G.degree)) for r in reps], nu)
+    table = G.table()
+    tuples = hw.enumerate_tuples(h)
+    assert len(tuples) == count
+    x0 = int(h.classes[0].codes[0])
+    assert len(table.centralizer_codes(x0)) == centralizer
+    gens = _centralizer_generators(table, x0)
+    assert 2 ** len(gens) <= centralizer
+    assert table.closure_codes(gens) == tuple(table.centralizer_codes(x0).tolist())
+    words = braid_nu_generators(h.nu)
+    inner = conjugation_maps(table.mul, table.inv, table.gen_codes)
+    braid_steps = [tuples.positions(apply_word_codes(tuples.codes, w.letters, table)) for w in words]
+    inner_steps = [tuples.positions(amap[tuples.codes]) for amap in inner]
+    for mode in ("inn", "aut"):
+        fiber = hw.build_fiber(h, mode, tuples=tuples)
+        rows, _, points, arrays = _canonical_fiber_oracle(tuples, _acting_maps(h, mode), words)
+        assert np.array_equal(fiber.rows, rows)
+        assert np.array_equal(fiber.points_of(tuples.codes), points)
+        assert np.array_equal(induced_permutation_array(fiber, words), arrays)
+        _assert_slice_leads(fiber, tuples)
+        if mode == "inn":
+            assert (len(fiber.slice_index.rows) == len(tuples)) == (centralizer == table.size)
+            fiber_orbits = _orbit_numbers(induced_permutation_array(fiber, words))[points]
+            assert np.array_equal(fiber_orbits, _orbit_numbers(braid_steps + inner_steps))
+    assert hw.cross_check_braid_orbits(h) is True
+
+
+def test_full_tuple_index_built_on_first_use(h25, monkeypatch):
+    # fibers index only their slice; `positions`, membership and
+    # cross_check_braid_orbits still locate any tuple in the whole set
+    from hurwitz import monodromy
+
+    tuples = hw.enumerate_tuples(h25)
+    fiber = hw.build_fiber(h25, "aut", tuples=tuples)
+    induced_permutation_array(fiber, braid_nu_generators(h25.nu))
+    assert "index" not in tuples.__dict__
+    assert tuples.positions(tuples.codes[::-1]).tolist() == list(range(len(tuples)))[::-1]
+    assert "index" in tuples.__dict__ and tuples.tuple_at(7) in tuples
+    checked = []
+    enumerate_tuples = monodromy.enumerate_tuples
+    monkeypatch.setattr(
+        monodromy, "enumerate_tuples", lambda *a, **k: checked.append(enumerate_tuples(*a, **k)) or checked[-1]
+    )
+    assert hw.cross_check_braid_orbits(h25) is True
+    assert "index" in checked[0].__dict__
 
 
 def test_empty_tuple_set(a5, a5_c3):
