@@ -109,6 +109,15 @@ def row_keys(rows, m):
     return rows.view(np.dtype((np.void, rows.shape[1] * dtype.itemsize))).ravel()
 
 
+def parse_digits(digits):
+    """The int a digit string spells, a thousand digits at a time."""
+    value = 0
+    for lo in range(0, len(digits), 1000):
+        piece = digits[lo : lo + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
 def class_by_type(group, cycle_type):
     want = tuple(sorted(cycle_type, reverse=True))
     for c in group.conjugacy_classes():

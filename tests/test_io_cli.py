@@ -2,7 +2,9 @@
 
 import gc
 import json
+import time
 import weakref
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ from hurwitz.io import (
     select_class,
 )
 
-from conftest import class_by_type
+from conftest import class_by_type, parse_digits
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +402,27 @@ def test_cli_monodromy_h25(tmp_path):
     inn = report["result"]["inn"]
     assert inn["labels"]["bijective_with_orbits"] is True
     assert abs(inn["mass"]["ratio_inn"] - 1.333333) < 1e-5
+
+
+def test_cli_monodromy_a5_c3_n6_aut(tmp_path):
+    # two 2-transitive orbits of 3456 and 4545 points, each shown primitive
+    # by one block refinement; the time guard fails if primitivity takes one
+    # refinement per point again (minutes)
+    t0 = time.time()
+    code, report = run_cli(["monodromy", "a5_c3_n6", "--mode", "aut"], tmp_path)
+    elapsed = time.time() - t0
+    assert code == cli.EXIT_OK
+    aut = report["result"]["aut"]
+    assert aut["fiber_size"] == 8001
+    assert aut["orbit_sizes"] == [3456, 4545]
+    alt = [factorial(3456) // 2, factorial(4545) // 2]
+    assert [(v["size"], v["full"], parse_digits(v["order"])) for v in aut["per_orbit"]] == [
+        (3456, True, alt[0]),
+        (4545, True, alt[1]),
+    ]
+    assert parse_digits(aut["group_order"]) == alt[0] * alt[1]
+    assert aut["quasi_full"] is True
+    assert elapsed < 60.0
 
 
 def test_cli_classify_s6(tmp_path):

@@ -30,7 +30,7 @@ from hurwitz.monodromy import (
 )
 
 from _chain_oracle import ChainOracle
-from conftest import class_by_type
+from conftest import class_by_type, parse_digits, random_perm
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +193,193 @@ def test_is_transitive():
 
 
 # ---------------------------------------------------------------------------
+# primitivity by suborbits
+
+
+def _block_system_oracle(perms, size):
+    """Oracle: the minimal-block refinement seeded with every pair (0, b) in
+    turn; the first proper nontrivial system, as a tuple of sorted blocks."""
+    if size <= 2:
+        return None
+    for b in range(1, size):
+        parent = list(range(size))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def union(x, y):
+            rx, ry = find(x), find(y)
+            if rx == ry:
+                return None
+            if ry < rx:
+                rx, ry = ry, rx
+            parent[ry] = rx
+            return (rx, ry)
+
+        stack = [(0, b)]
+        union(0, b)
+        while stack:
+            x, y = stack.pop()
+            for g in perms:
+                merged = union(g.images[x], g.images[y])
+                if merged:
+                    stack.append(merged)
+        roots = {}
+        for x in range(size):
+            roots.setdefault(find(x), []).append(x)
+        blocks = sorted(roots.values())
+        if 1 < len(blocks) < size:
+            return tuple(tuple(blk) for blk in blocks)
+    return None
+
+
+def _assert_blocks_match_oracle(perms, size, monkeypatch):
+    """_block_system equals the oracle under five sampling seeds; the
+    oracle's answer."""
+    want = _block_system_oracle(perms, size)
+    for seed in range(5):
+        monkeypatch.setattr(monodromy_module, "_SUBORBIT_SEED", seed)
+        assert _block_system(perms, size) == want, seed
+    return want
+
+
+def _relabeled(gens, rng):
+    """The generators conjugated by a random relabeling of their points."""
+    n = len(gens[0].images)
+    relabel = list(range(n))
+    rng.shuffle(relabel)
+    out = []
+    for g in gens:
+        images = [0] * n
+        for x, y in enumerate(g.images):
+            images[relabel[x]] = relabel[y]
+        out.append(Permutation(images))
+    return out
+
+
+def _shape(blocks):
+    """(number of blocks, block size), or None for a primitive action."""
+    return None if blocks is None else (len(blocks), len(blocks[0]))
+
+
+def _cycle(points, n):
+    images = list(range(n))
+    for a, b in zip(points, points[1:] + points[:1]):
+        images[a] = b
+    return Permutation(images)
+
+
+def _wreath_sym_sym(m, k):
+    """S_m wr S_k on blocks {i*m, ..., i*m + m - 1}, i < k."""
+    n = m * k
+    within = [_cycle([0, 1], n), _cycle(list(range(m)), n)]
+    across = [
+        Permutation([(x + m) % (2 * m) if x < 2 * m else x for x in range(n)]),
+        Permutation([(x + m) % n for x in range(n)]),
+    ]
+    return within + across
+
+
+def _wreath_c2_alt(b):
+    """C2 wr A_b on the pairs {i, i + b}, A_b acting on both copies alike."""
+    n = 2 * b
+    diagonal = [list(range(3)), list(range(b)) if b % 2 else list(range(1, b))]
+    gens = [_cycle([0, b], n)]
+    for cyc in diagonal:
+        images = list(range(n))
+        for a, c in zip(cyc, cyc[1:] + cyc[:1]):
+            images[a], images[a + b] = c, c + b
+        gens.append(Permutation(images))
+    return gens
+
+
+def test_blocks_match_oracle_on_wreath_products(monkeypatch):
+    rng = random.Random(55)
+    for m, k in ((2, 2), (3, 2), (2, 5), (5, 3), (4, 4), (6, 10), (12, 5), (2, 30)):
+        gens = _relabeled(_wreath_sym_sym(m, k), rng)
+        assert _assert_blocks_match_oracle(gens, m * k, monkeypatch) is not None, (m, k)
+    for b in (3, 4, 5, 6, 11, 20, 30):
+        gens = _relabeled(_wreath_c2_alt(b), rng)
+        assert PermGroup(2 * b, gens).order() == 2**b * factorial(b) // 2
+        assert _assert_blocks_match_oracle(gens, 2 * b, monkeypatch) is not None, b
+
+
+def test_blocks_match_oracle_on_random_imprimitive_generators(monkeypatch):
+    """Random generators that permute the blocks of a random partition into
+    equal parts, with random bijections between the blocks; with them,
+    random generators on up to 40 points."""
+    rng = random.Random(2003)
+    imprimitive = 0
+    for _ in range(120):
+        count, width = rng.randint(2, 8), rng.randint(2, 6)
+        n = count * width
+        points = list(range(n))
+        rng.shuffle(points)
+        blocks = [points[i * width : (i + 1) * width] for i in range(count)]
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images = [0] * n
+            for blk, target in zip(blocks, rng.sample(blocks, count)):
+                for x, y in zip(blk, rng.sample(target, width)):
+                    images[x] = y
+            gens.append(Permutation(images))
+        imprimitive += _assert_blocks_match_oracle(gens, n, monkeypatch) is not None
+    assert imprimitive >= 100
+    for _ in range(40):
+        n = rng.randint(3, 40)
+        _assert_blocks_match_oracle([random_perm(rng, n) for _ in range(rng.randint(1, 3))], n, monkeypatch)
+
+
+def test_blocks_match_oracle_on_bundled_orbits(a5_n4, a5_n5, contrasting_pair, monkeypatch):
+    orbits = [(case["arrays"], m) for case in (a5_n4, a5_n5) for m in case["orbits"].orbit_members]
+    for key in ("212", "221"):
+        fiber = contrasting_pair[key]["fiber"]
+        arrays = fiber_generator_arrays(fiber)[1]
+        orbits += [(arrays, m) for m in braid_orbits(fiber, arrays).orbit_members]
+    shapes = []
+    for arrays, members in orbits:
+        perms = _restriction_perms(arrays, members)
+        blocks = _assert_blocks_match_oracle(perms, len(members), monkeypatch)
+        shapes.append((len(members), _shape(blocks)))
+    # a5_c3_n4 inn, a5_c3_n5 inn, s5_212 and s5_221 aut
+    assert shapes == [(18, (9, 2)), (252, (126, 2)), (432, (216, 2)), (170, (2, 85)), (125, None)]
+
+
+def test_blocks_match_oracle_on_cyclic_actions(monkeypatch):
+    # one generator: G_0 is trivial, every suborbit is one point, and the
+    # Schreier tree is one path of n - 1 edges
+    rng = random.Random(97)
+    for n in (12, 30, 97):
+        points = list(range(n))
+        rng.shuffle(points)
+        blocks = _assert_blocks_match_oracle([_cycle(points, n)], n, monkeypatch)
+        assert (blocks is None) == (n == 97), n  # primitive exactly at a prime
+
+
+def test_blocks_match_oracle_on_intransitive_and_tiny_inputs(monkeypatch):
+    rng = random.Random(5)
+    cycles = ("(1 2)", "(1 2 3 4 5)", "(6 7)", "(6 7 8 9 10 11 12)")
+    product = [Permutation.from_cycles(c, 12) for c in cycles]
+    assert _assert_blocks_match_oracle(product, 12, monkeypatch) is not None
+    # point 0 fixed by every generator: the tree is the root alone
+    fixed = [Permutation.from_cycles(c, 9) for c in ("(2 3 4)", "(5 6)(7 8 9)")]
+    assert _assert_blocks_match_oracle(fixed, 9, monkeypatch) is not None
+    for _ in range(30):
+        n = rng.randint(3, 16)
+        gens = [Permutation(range(n))] * rng.randint(0, 1)
+        gens += [_cycle(rng.sample(range(n), rng.randint(2, n - 1)), n) for _ in range(rng.randint(1, 3))]
+        _assert_blocks_match_oracle(gens, n, monkeypatch)
+    # no generators, and sizes of at most two
+    assert _assert_blocks_match_oracle([], 5, monkeypatch) == ((0, 1), (2,), (3,), (4,))
+    for size in (0, 1, 2):
+        assert _assert_blocks_match_oracle([Permutation(range(size))], size, monkeypatch) is None
+        assert _block_system([], size) is None
+
+
+# ---------------------------------------------------------------------------
 # quasi-fullness
 
 
@@ -329,7 +516,7 @@ def _chain_oracle(arrays):
         perms = _restriction_perms(arrays, members)
         order = PermGroup(len(members), perms).order()
         full = full_by_order(len(members), order)
-        blocks = None if full else _block_system(perms, len(members))
+        blocks = None if full else _block_system_oracle(perms, len(members))
         per_orbit.append((len(members), order, full, blocks))
     quasi = all(v[2] for v in per_orbit) and (
         len(per_orbit) <= 1 or _quasi_full_by_base_prefix(arrays, orbits.orbit_members)
@@ -616,20 +803,11 @@ def test_cross_check_a5_single_block(a5, a5_c3):
 # orders beyond the interpreter's int-to-str digit limit
 
 
-def _parse_digits(digits):
-    """The int a digit string spells, a thousand digits at a time."""
-    value = 0
-    for lo in range(0, len(digits), 1000):
-        piece = digits[lo : lo + 1000]
-        value = value * 10 ** len(piece) + int(piece)
-    return value
-
-
 def test_decimal_at_the_piece_boundaries():
     for n in (0, 7, 10**4000 - 1, 10**4000, 10**4000 + 1, 10**8001 + 5 * 10**4000):
         digits = decimal_digits(n)
         assert digits == "0" or digits[0] != "0"
-        assert _parse_digits(digits) == n
+        assert parse_digits(digits) == n
 
 
 def test_report_prints_a_full_1600_point_orbit():
@@ -650,4 +828,4 @@ def test_report_prints_a_full_1600_point_orbit():
     out = json.loads(json.dumps(report.to_json_dict()))
     for digits in (out["group_order"], out["per_orbit"][0]["order"]):
         assert len(digits) == 4434
-        assert _parse_digits(digits) == order
+        assert parse_digits(digits) == order
